@@ -8,24 +8,22 @@ JSON lines are the canonical output (sorted keys, compact separators, so a
 parse/re-emit round trip is byte-identical); --csv, where offered, is a fixed
 projection.  All commands are deterministic.  Exit codes: 0 ok, 2 usage or
 domain error, 3 guard refusal, 4 assertion or cross-check failure,
-5 infeasible witness build.  The environment variable AVOID_THREADS, when set,
-overrides any --jobs flag.
+5 infeasible witness build.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bipartite, criterion, equidist, oracle, pell, witness
 from .errors import DomainError, GuardError, ScanAssertionError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, binom2
-from .graphs import Graph, from_graph6, girth, to_graph6
+from .graphs import from_graph6, girth, induced_subgraph, to_graph6
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,22 +33,8 @@ EXIT_INFEASIBLE = 5
 
 EPILOG = (
     "exit codes: 0 ok; 2 usage/domain error; 3 size-guard refusal; "
-    "4 assertion or cross-check failure; 5 infeasible witness build. "
-    "AVOID_THREADS overrides --jobs."
+    "4 assertion or cross-check failure; 5 infeasible witness build."
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    fracbits: int = DEFAULT_FRACBITS
-    jobs: int = 1
-    fmt: str = "json"  # "json" | "csv"
-
-    def __post_init__(self) -> None:
-        if not 32 <= self.fracbits <= 1024:
-            raise DomainError(f"fracbits must be in [32, 1024], got {self.fracbits}")
-        if self.jobs < 1:
-            raise DomainError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def dump_json(obj) -> str:
@@ -63,16 +47,6 @@ def emit(obj, out=None) -> None:
 
 def _frac_record(frac: FixedPointFrac) -> dict:
     return {"value": frac.value, "fracbits": frac.fracbits, "approx": float(frac)}
-
-
-def _jobs(args) -> int:
-    env = os.environ.get("AVOID_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"AVOID_THREADS must be an integer, got {env!r}") from None
-    return getattr(args, "jobs", 1)
 
 
 def _positive_int(text: str) -> int:
@@ -97,6 +71,17 @@ def _parse_pair(text: str) -> criterion.PairMF:
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"expected a pair like 40,390, got {text!r}") from None
+
+
+def _parse_vertices(text: str, n: int) -> frozenset[int]:
+    try:
+        vertices = frozenset(int(tok) for tok in text.split(",") if tok != "")
+    except ValueError:
+        raise DomainError(f"expected vertices like 0,1,2, got {text!r}") from None
+    for v in sorted(vertices):
+        if not 0 <= v < n:
+            raise DomainError(f"vertex {v} out of range [0, {n})")
+    return vertices
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +113,31 @@ def cmd_pell(args) -> int:
 CRITERION_CSV_HEADER = ["m", "q", "Dy", "Dz", "L", "R", "verdict"]
 
 
-def _criterion_csv_row(m: int, q: int) -> list:
-    ev = criterion.eval_criterion(m, q)
-    return [ev.m, ev.q, ev.Dy, ev.Dz, ev.L, ev.R, "L>R" if ev.L > ev.R else "L<=R"]
+def _criterion_row(ev: criterion.CriterionEval) -> dict:
+    """The exact fields of an evaluation, keyed in CSV column order."""
+    return {"m": ev.m, "q": ev.q, "Dy": ev.Dy, "Dz": ev.Dz, "L": ev.L, "R": ev.R,
+            "verdict": "L>R" if ev.L > ev.R else "L<=R"}
 
 
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def cmd_criterion_eval(args, config: RunConfig) -> int:
-    ev = criterion.eval_criterion(args.m, args.q, config.fracbits)
-    if config.fmt == "csv":
-        w = _csv_writer()
-        w.writerow(CRITERION_CSV_HEADER)
-        w.writerow([ev.m, ev.q, ev.Dy, ev.Dz, ev.L, ev.R, "L>R" if ev.L > ev.R else "L<=R"])
+def _write_criterion_csv(evals) -> None:
+    w = _csv_writer()
+    w.writerow(CRITERION_CSV_HEADER)
+    for ev in evals:
+        w.writerow(_criterion_row(ev).values())
+
+
+def cmd_criterion_eval(args) -> int:
+    ev = criterion.eval_criterion(args.m, args.q, args.fracbits)
+    if args.csv:
+        _write_criterion_csv([ev])
         return EXIT_OK
     emit(
         {
-            "m": ev.m,
-            "q": ev.q,
-            "Dy": ev.Dy,
-            "Dz": ev.Dz,
-            "L": ev.L,
-            "R": ev.R,
-            "verdict": "L>R" if ev.L > ev.R else "L<=R",
+            **_criterion_row(ev),
             "frac_y": _frac_record(ev.frac_y),
             "d_approx": _frac_record(ev.d_approx),
         }
@@ -160,62 +145,58 @@ def cmd_criterion_eval(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_criterion_cert(args, config: RunConfig) -> int:
+def cmd_criterion_cert(args) -> int:
     pair = criterion.PairMF(args.m, args.f)
     outcome = criterion.avoidability_certificate(pair)
-    record = {"m": pair.m, **criterion.cert_record(pair.f, outcome)}
-    emit(record)
+    emit({"m": pair.m, **criterion.cert_record(pair.f, outcome)})
     return EXIT_OK
 
 
-def cmd_criterion_scan_t4(args, config: RunConfig) -> int:
+def cmd_criterion_scan_t4(args) -> int:
     try:
         records = criterion.scan_offset_disjunction(
-            args.from_m, args.to_m, assert_all=args.assert_all, jobs=_jobs(args)
+            args.from_m, args.to_m, assert_all=args.assert_all
         )
     except ScanAssertionError as exc:
         for rec in exc.failures:
             emit(rec, out=sys.stderr)
         emit({"error": str(exc), "kind": "assertion"}, out=sys.stderr)
         return EXIT_ASSERTION
-    if config.fmt == "csv":
-        w = _csv_writer()
-        w.writerow(CRITERION_CSV_HEADER)
-        for rec in records:
-            m = rec["m"]
-            w.writerow(_criterion_csv_row(m, 0))
-            if rec["L6m"] is not None:
-                w.writerow(_criterion_csv_row(m, 6 * m))
-                w.writerow(_criterion_csv_row(m, -6 * m))
+    if args.csv:
+        _write_criterion_csv(
+            criterion.eval_criterion(rec["m"], k * rec["m"])
+            for rec in records
+            for k in ((0, 6, -6) if rec["L6m"] is not None else (0,))
+        )
         return EXIT_OK
     for rec in records:
         emit(rec)
     return EXIT_OK
 
 
-def cmd_criterion_scan_t2(args, config: RunConfig) -> int:
+def cmd_criterion_scan_t2(args) -> int:
     q_of_m = criterion.AffineQ(_parse_fraction(args.alpha), _parse_fraction(args.beta))
-    records = criterion.scan_affine_q(q_of_m, args.from_m, args.to_m, jobs=_jobs(args))
-    if config.fmt == "csv":
-        w = _csv_writer()
-        w.writerow(CRITERION_CSV_HEADER)
-        for rec in records:
-            if rec["status"] in ("hit", "miss"):
-                w.writerow(_criterion_csv_row(rec["m"], rec["q"]))
-                w.writerow(_criterion_csv_row(rec["m"], -rec["q"]))
+    records = criterion.scan_affine_q(q_of_m, args.from_m, args.to_m)
+    if args.csv:
+        _write_criterion_csv(
+            criterion.eval_criterion(rec["m"], sign * rec["q"])
+            for rec in records
+            if rec["status"] in ("hit", "miss")
+            for sign in (1, -1)
+        )
         return EXIT_OK
     for rec in records:
         emit(rec)
     return EXIT_OK
 
 
-def cmd_criterion_scan_interval(args, config: RunConfig) -> int:
+def cmd_criterion_scan_interval(args) -> int:
     emit(criterion.scan_interval(args.m))
     return EXIT_OK
 
 
-def cmd_criterion_scan_mod23(args, config: RunConfig) -> int:
-    for rec in criterion.scan_mod23(args.from_m, args.to_m, jobs=_jobs(args)):
+def cmd_criterion_scan_mod23(args) -> int:
+    for rec in criterion.scan_mod23(args.from_m, args.to_m):
         emit(rec)
     return EXIT_OK
 
@@ -225,17 +206,7 @@ def cmd_criterion_scan_mod23(args, config: RunConfig) -> int:
 
 
 def _witness_record(w: witness.WitnessGraph) -> dict:
-    part = sorted(w.girth_part)
-    s = w.structure_graph()
-    sub_rows = []
-    index = {v: i for i, v in enumerate(part)}
-    for v in part:
-        r = 0
-        for u in part:
-            if s.rows[v] >> u & 1:
-                r |= 1 << index[u]
-        sub_rows.append(r)
-    part_girth = girth(Graph(len(part), sub_rows))
+    part_girth = girth(induced_subgraph(w.structure_graph(), w.girth_part))
     adjacency = [
         [u for u in range(w.graph.n) if w.graph.rows[v] >> u & 1]
         for v in range(w.graph.n)
@@ -253,21 +224,10 @@ def _witness_record(w: witness.WitnessGraph) -> dict:
     }
 
 
-def cmd_witness_build(args, config: RunConfig) -> int:
+def cmd_witness_build(args) -> int:
     built = witness.build_witness_or_complement(args.n, args.e, args.p)
     if isinstance(built, witness.Infeasible):
-        emit(
-            {
-                "infeasible": True,
-                "n": built.n,
-                "e": built.e,
-                "p": built.p,
-                "k": built.k,
-                "placed": built.placed,
-                "missing": built.missing,
-                "reason": built.reason,
-            }
-        )
+        emit({"infeasible": True, **dataclasses.asdict(built)})
         return EXIT_INFEASIBLE
     record = _witness_record(built)
     if args.pair is not None:
@@ -276,17 +236,24 @@ def cmd_witness_build(args, config: RunConfig) -> int:
         record["pair"] = {"m": pair.m, "f": pair.f}
         record["verify"] = {"passed": verdict.passed, "failures": list(verdict.failures)}
     if args.graph6 is not None:
-        with open(args.graph6, "w") as fh:
-            fh.write(to_graph6(built.graph) + "\n")
+        try:
+            with open(args.graph6, "w") as fh:
+                fh.write(record["graph6"] + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write graph6 file: {exc}") from None
     emit(record)
     return EXIT_OK
 
 
-def cmd_witness_verify(args, config: RunConfig) -> int:
-    with open(args.graph6) as fh:
-        g = from_graph6(fh.read())
+def cmd_witness_verify(args) -> int:
+    try:
+        with open(args.graph6) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read graph6 file: {exc}") from None
+    g = from_graph6(text)
     pair = _parse_pair(args.pair)
-    clique = frozenset(int(tok) for tok in args.clique_vertices.split(",") if tok != "")
+    clique = _parse_vertices(args.clique_vertices, g.n)
     rest = frozenset(range(g.n)) - clique
     w = witness.WitnessGraph(
         graph=g,
@@ -310,7 +277,7 @@ def cmd_witness_verify(args, config: RunConfig) -> int:
 # oracle
 
 
-def cmd_oracle_arrows(args, config: RunConfig) -> int:
+def cmd_oracle_arrows(args) -> int:
     pair = criterion.PairMF(args.m, args.f)
     verdict = oracle.arrows_pair(args.n, args.e, pair, query_guard=args.query_guard)
     emit(
@@ -327,10 +294,10 @@ def cmd_oracle_arrows(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_sn(args, config: RunConfig) -> int:
+def cmd_oracle_sn(args) -> int:
     pair = criterion.PairMF(args.m, args.f)
-    report = oracle.compute_S_n(args.n, pair, jobs=_jobs(args), sweep_guard=args.sweep_guard)
-    if config.fmt == "csv":
+    report = oracle.compute_S_n(args.n, pair, sweep_guard=args.sweep_guard)
+    if args.csv:
         w = _csv_writer()
         w.writerow(["e", "arrows", "counterexample"])
         in_s = set(report.S)
@@ -349,7 +316,7 @@ def cmd_oracle_sn(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_xcheck_cf(args, config: RunConfig) -> int:
+def cmd_oracle_xcheck_cf(args) -> int:
     mismatches = []
     checked = 0
     for m in range(1, args.max_m + 1):
@@ -368,7 +335,7 @@ def cmd_oracle_xcheck_cf(args, config: RunConfig) -> int:
 # bipartite
 
 
-def cmd_bipartite_realize(args, config: RunConfig) -> int:
+def cmd_bipartite_realize(args) -> int:
     pair = bipartite.BipartitePair(args.m, args.f)
     complemented = False
     target = pair
@@ -401,26 +368,15 @@ def cmd_bipartite_realize(args, config: RunConfig) -> int:
 # diag
 
 
-def cmd_diag_equidist(args, config: RunConfig) -> int:
+def cmd_diag_equidist(args) -> int:
     report = equidist.diag_equidist(
         args.q,
         args.n,
         args.bins,
-        fracbits=config.fracbits,
+        fracbits=args.fracbits,
         restrict_to_M=args.on_m,
     )
-    emit(
-        {
-            "q": report.q,
-            "stride": report.stride,
-            "count": report.count,
-            "bins": report.bins,
-            "fracbits": report.fracbits,
-            "m_start": report.m_start,
-            "histogram": list(report.histogram),
-            "discrepancy": report.discrepancy,
-        }
-    )
+    emit(dataclasses.asdict(report))
     return EXIT_OK
 
 
@@ -438,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--raw", action="store_true",
                    help="start at s=0 instead of the filtered set M")
-    p.set_defaults(handler=cmd_pell, needs_config=False)
+    p.set_defaults(handler=cmd_pell)
 
     c = sub.add_parser("criterion", help="exact floor criterion and scanners",
                        epilog=EPILOG)
@@ -460,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     c4.add_argument("--to", dest="to_m", type=int, required=True)
     c4.add_argument("--assert", dest="assert_all", action="store_true")
     c4.add_argument("--csv", action="store_true")
-    c4.add_argument("--jobs", type=_positive_int, default=1)
     c4.set_defaults(handler=cmd_criterion_scan_t4)
 
     c2 = csub.add_parser("scan-t2")
@@ -469,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     c2.add_argument("--from", dest="from_m", type=int, required=True)
     c2.add_argument("--to", dest="to_m", type=int, required=True)
     c2.add_argument("--csv", action="store_true")
-    c2.add_argument("--jobs", type=_positive_int, default=1)
     c2.set_defaults(handler=cmd_criterion_scan_t2)
 
     ci = csub.add_parser("scan-interval")
@@ -479,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     cm = csub.add_parser("scan-mod23")
     cm.add_argument("--from", dest="from_m", type=int, required=True)
     cm.add_argument("--to", dest="to_m", type=int, required=True)
-    cm.add_argument("--jobs", type=_positive_int, default=1)
     cm.set_defaults(handler=cmd_criterion_scan_mod23)
 
     w = sub.add_parser("witness", help="build and verify witness graphs")
@@ -520,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     on.add_argument("--m", type=int, required=True)
     on.add_argument("--f", type=int, required=True)
     on.add_argument("--csv", action="store_true")
-    on.add_argument("--jobs", type=_positive_int, default=1)
     on.add_argument("--sweep-guard", dest="sweep_guard", type=_positive_int,
                     default=oracle.DEFAULT_SWEEP_GUARD)
     on.set_defaults(handler=cmd_oracle_sn)
@@ -555,16 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            fracbits=args.fracbits,
-            jobs=getattr(args, "jobs", 1),
-            fmt="csv" if getattr(args, "csv", False) else "json",
-        )
-        if getattr(args, "needs_config", True):
-            return args.handler(args, config)
+        if not 32 <= args.fracbits <= 1024:
+            raise DomainError(f"fracbits must be in [32, 1024], got {args.fracbits}")
         return args.handler(args)
     except DomainError as exc:
         emit({"error": str(exc), "kind": "domain"}, out=sys.stderr)

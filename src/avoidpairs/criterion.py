@@ -18,7 +18,6 @@ from typing import Callable, Union
 
 from .errors import DomainError, ScanAssertionError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, binom2, frac_sqrt_half, surd_floor
-from .parallel import DEFAULT_CHUNK, run_chunked
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,10 @@ def lr_from_f(m: int, f: int) -> tuple[int, int]:
     """Exact (L, R) computed from the pair directly: Dy = 8(f-m)+9, Dz = 8f+1.
 
     Algebraically identical to lr_values at q = m(m-1)/4 - f, but defined for
-    every f >= m - 1 even when that q is not an integer.
+    every f >= m - 1 even when that q is not an integer.  L > R is equivalent
+    to clique+forest impossibility on m <= f < binom2(m) (see
+    clique_forest_realizable).  Outside that range every pair is realizable,
+    although (3, 2) and each (m, binom2(m)) have L > R.
     """
     dy = 8 * (f - m) + 9
     if dy < 0:
@@ -157,8 +159,9 @@ def _smallest_clique_size(m: int, f: int) -> int | None:
     """Smallest clique size x such that (m, f) is a clique K_x plus a forest on
     the remaining m - x vertices, or None when no x in [0, m] works.
 
-    The exact feasibility condition at x is binom2(x) <= f and
-    f - binom2(x) <= max(0, m - x - 1).  Pure integer search: x = 0 covers all
+    Independent reference for xcheck_lr_equivalence; clique_forest_realizable
+    decides from the floors instead.  The exact feasibility condition at x is
+    binom2(x) <= f and f - binom2(x) <= max(0, m - x - 1).  x = 0 covers all
     f <= m - 1; for f >= m the forest-budget excess 2f - x(x-1) - 2(m - x - 1)
     is strictly decreasing on [2, m-1], so the smallest feasible x there is
     found by bisection; x = m needs f = binom2(m) exactly.
@@ -179,30 +182,36 @@ def _smallest_clique_size(m: int, f: int) -> int | None:
     return lo if lo * (lo - 1) // 2 <= f else None
 
 
-def _smallest_clique_size_linear(m: int, f: int) -> int | None:
-    """Reference linear scan over x; same contract as _smallest_clique_size."""
-    for x in range(m + 1):
-        clique_edges = binom2(x)
-        if clique_edges > f:
-            break
-        rest = m - x
-        budget = rest - 1 if rest >= 1 else 0
-        if f - clique_edges <= budget:
-            return x
-    return None
-
-
 def clique_forest_realizable(pair: PairMF) -> CliqueForestCert:
-    """Decide clique+forest realizability of the pair.
+    """Decide clique+forest realizability of the pair from the floors L and R.
 
-    Returns Realizable with the smallest feasible clique size, or Impossible
-    carrying the (L, R) floor gap.  The verdict comes from the integer search;
-    L and R are attached afterwards for the certificate record.
+    Returns Realizable with the smallest feasible clique size x, or Impossible
+    carrying the (L, R) floor gap.  x = 0 works exactly when f <= m - 1, and
+    x = m exactly when f = binom2(m).  Both are decided first because the
+    floors do not apply there: L is undefined for f < m - 1, and L > R at
+    (3, 2) and at every f = binom2(m).
+
+    Why L is the answer on the rest, m <= f < binom2(m): there x = 0, 1 and m
+    fail, and x in [2, m-1] is feasible iff binom2(x) <= f and
+    f - binom2(x) <= m - x - 1.  The first is (2x-1)^2 <= 8f + 1, i.e. x <= R.
+    The second rearranges to (2x-3)^2 >= Dy + 8 with Dy = 8(f-m) + 9.  Dy is
+    1 mod 8, and so is every odd square, so no odd square lies strictly
+    between Dy and Dy + 8: the second condition is (2x-3)^2 > Dy, i.e.
+    x > (3 + sqrt(Dy))/2, whose least integer solution is
+    floor((5 + sqrt(Dy))/2) = L.  The feasible x are therefore L..R, and
+    R < m because binom2(m) > f, so L <= R puts L inside [2, m-1].
     """
-    x = _smallest_clique_size(pair.m, pair.f)
-    if x is None:
-        return Impossible(*lr_from_f(pair.m, pair.f))
-    return Realizable(x, pair.m - x, pair.f - binom2(x))
+    m, f = pair.m, pair.f
+    if f <= m - 1:
+        x = 0
+    elif f == binom2(m):
+        x = m
+    else:
+        L, R = lr_from_f(m, f)
+        if L > R:
+            return Impossible(L, R)
+        x = L
+    return Realizable(x, m - x, f - binom2(x))
 
 
 def avoidability_certificate(pair: PairMF) -> AvoidabilityCert | CertRejection:
@@ -233,26 +242,11 @@ class AffineQ:
         return math.floor(self.alpha * m + self.beta)
 
 
-@dataclass(frozen=True)
-class TableQ:
-    """q(m) looked up from an explicit table; missing m raises DomainError."""
-
-    table: dict
-
-    def __call__(self, m: int) -> int:
-        try:
-            return self.table[m]
-        except KeyError:
-            raise DomainError(f"q table has no entry for m={m}") from None
-
-
 QSpec = Callable[[int], int]
 
 
 # ---------------------------------------------------------------------------
-# Scanners.  Each returns a list of plain dict records (JSON-ready); chunked
-# execution merges partial results in range order, so output is independent of
-# the worker count and chunk size.
+# Scanners.  Each returns a list of plain dict records (JSON-ready) in m order.
 
 
 def _offsets_evaluable(m: int) -> bool:
@@ -260,7 +254,13 @@ def _offsets_evaluable(m: int) -> bool:
     return m >= 5 and (m - 5) ** 2 >= 24 * m
 
 
-def _scan_disjunction_chunk(m_lo: int, m_hi: int) -> list[dict]:
+def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> list[dict]:
+    """For each m = 0, 1 (mod 4) in range, report whether the center inequality
+    L_0 > R_0 holds, or both offset inequalities at q = +/-6m hold.
+
+    In assertion mode every m must satisfy one of the two branches; a violation
+    raises ScanAssertionError listing the failing m values.
+    """
     records = []
     for m in range(m_lo, m_hi + 1):
         if m % 4 not in (0, 1) or m < 5:
@@ -287,23 +287,6 @@ def _scan_disjunction_chunk(m_lo: int, m_hi: int) -> list[dict]:
                 "Rneg6m": rm6,
             }
         )
-    return records
-
-
-def scan_offset_disjunction(
-    m_lo: int,
-    m_hi: int,
-    assert_all: bool = False,
-    jobs: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> list[dict]:
-    """For each m = 0, 1 (mod 4) in range, report whether the center inequality
-    L_0 > R_0 holds, or both offset inequalities at q = +/-6m hold.
-
-    In assertion mode every m must satisfy one of the two branches; a violation
-    raises ScanAssertionError listing the failing m values.
-    """
-    records = run_chunked(_scan_disjunction_chunk, m_lo, m_hi, jobs=jobs, chunk=chunk)
     if assert_all:
         bad = [rec for rec in records if rec["which"] == "none"]
         if bad:
@@ -315,72 +298,38 @@ def scan_offset_disjunction(
     return records
 
 
-def first_persistent_m(records: list[dict]) -> int | None:
-    """Smallest scanned m from which every later record has a holding branch.
-
-    Reports an observation over the scanned range only; no claim is made that
-    the boundary is tight beyond it.
-    """
-    last_bad = None
-    for rec in records:
-        if rec["which"] == "none":
-            last_bad = rec["m"]
-    if last_bad is None:
-        return records[0]["m"] if records else None
-    later = [rec["m"] for rec in records if rec["m"] > last_bad]
-    return later[0] if later else None
-
-
-def _scan_affine_chunk_factory(q_of_m: QSpec):
-    def chunk_fn(m_lo: int, m_hi: int) -> list[dict]:
-        records = []
-        for m in range(m_lo, m_hi + 1):
-            if m % 4 in (2, 3):
-                records.append({"m": m, "status": "skipped-nonintegral-f"})
-                continue
-            q = q_of_m(m)
-            if m < 5 or (m - 5) ** 2 < 4 * abs(q):
-                records.append({"m": m, "status": "skipped-envelope", "q": q})
-                continue
-            lp, rp = lr_values(m, q)
-            ln, rn = lr_values(m, -q)
-            hit = lp > rp and ln > rn
-            records.append(
-                {
-                    "m": m,
-                    "status": "hit" if hit else "miss",
-                    "q": q,
-                    "f": binom2(m) // 2 - q,
-                    "L_pos": lp,
-                    "R_pos": rp,
-                    "L_neg": ln,
-                    "R_neg": rn,
-                }
-            )
-        return records
-
-    return chunk_fn
-
-
-def scan_affine_q(
-    q_of_m: QSpec,
-    m_lo: int,
-    m_hi: int,
-    jobs: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> list[dict]:
+def scan_affine_q(q_of_m: QSpec, m_lo: int, m_hi: int) -> list[dict]:
     """Scan m in range for pairs (m, m(m-1)/4 - q(m)) whose both-sign floor
     inequalities hold; every "hit" admits an avoidability certificate.
 
     m = 2, 3 (mod 4) are recorded as skipped (the target size is then not an
     integer), as are m below the envelope for |q(m)|.
     """
-    return run_chunked(_scan_affine_chunk_factory(q_of_m), m_lo, m_hi, jobs=jobs, chunk=chunk)
-
-
-def scan_hits(records: list[dict]) -> list[int]:
-    """The m values of "hit" records."""
-    return [rec["m"] for rec in records if rec.get("status") == "hit"]
+    records = []
+    for m in range(m_lo, m_hi + 1):
+        if m % 4 in (2, 3):
+            records.append({"m": m, "status": "skipped-nonintegral-f"})
+            continue
+        q = q_of_m(m)
+        if m < 5 or (m - 5) ** 2 < 4 * abs(q):
+            records.append({"m": m, "status": "skipped-envelope", "q": q})
+            continue
+        lp, rp = lr_values(m, q)
+        ln, rn = lr_values(m, -q)
+        hit = lp > rp and ln > rn
+        records.append(
+            {
+                "m": m,
+                "status": "hit" if hit else "miss",
+                "q": q,
+                "f": binom2(m) // 2 - q,
+                "L_pos": lp,
+                "R_pos": rp,
+                "L_neg": ln,
+                "R_neg": rn,
+            }
+        )
+    return records
 
 
 def cert_record(f: int, outcome: AvoidabilityCert | CertRejection) -> dict:
@@ -409,8 +358,8 @@ def scan_interval(m: int) -> dict:
     around m(m-1)/4; verdict is all-pass or the list of failing f'.
 
     Any m >= 1 is accepted: for m = 2, 3 (mod 4) the midpoint is half-integral
-    and the certificates come from the direct search alone.  The interval can
-    then be empty (m = 2), which is reported as such.
+    and the certificates come from clique_forest_realizable alone.  The
+    interval can then be empty (m = 2), which is reported as such.
     """
     if m < 1:
         raise DomainError(f"scan_interval needs m >= 1, got {m}")
@@ -445,7 +394,12 @@ def _realizability_record(pair: PairMF) -> dict:
     return {"f": pair.f, "realizable": False, "L": cert.L, "R": cert.R}
 
 
-def _scan_mod23_chunk(m_lo: int, m_hi: int) -> list[dict]:
+def scan_mod23(m_lo: int, m_hi: int) -> list[dict]:
+    """Exploration-only analogue of the mod-4 = 0, 1 scan for m = 2, 3 (mod 4),
+    using f = floor(m(m-1)/4) and its complement, decided by the floors.
+
+    No assertion mode: correctness of a persistent pattern here is not claimed.
+    """
     records = []
     for m in range(m_lo, m_hi + 1):
         if m % 4 not in (2, 3) or m < 2:
@@ -479,28 +433,17 @@ def _scan_mod23_chunk(m_lo: int, m_hi: int) -> list[dict]:
     return records
 
 
-def scan_mod23(
-    m_lo: int,
-    m_hi: int,
-    jobs: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> list[dict]:
-    """Exploration-only analogue of the mod-4 = 0, 1 scan for m = 2, 3 (mod 4),
-    using f = floor(m(m-1)/4) and its complement, decided by direct search.
-
-    No assertion mode: correctness of a persistent pattern here is not claimed.
-    """
-    return run_chunked(_scan_mod23_chunk, m_lo, m_hi, jobs=jobs, chunk=chunk)
-
-
 # ---------------------------------------------------------------------------
-# Exhaustive search-vs-floors cross-check (the converse direction of the
-# impossibility bounds, supplied by the direct search).
+# Exhaustive bisection-vs-floors cross-check: the bisection search is the
+# independent reference for the floor decision in clique_forest_realizable.
 
 
-def _xcheck_chunk(m_lo: int, m_hi: int) -> list[tuple[int, list[dict]]]:
+def xcheck_lr_equivalence(m_lo: int, m_hi: int) -> dict:
+    """For every m = 0, 1 (mod 4) in range and every integer q with |q| <= m
+    inside the envelope, check the bisection reference against the floors:
+    impossible exactly when L > R, and otherwise smallest clique size L.
+    Returns {"pairs_checked", "mismatches"}."""
     sq = math.isqrt
-    search = _smallest_clique_size
     checked = 0
     mismatches: list[dict] = []
     for m in range(m_lo, m_hi + 1):
@@ -512,26 +455,11 @@ def _xcheck_chunk(m_lo: int, m_hi: int) -> list[tuple[int, list[dict]]]:
         base_z = 2 * m * m - 2 * m + 1
         for q in range(-qmax, qmax + 1):
             f = half - q
-            impossible = search(m, f) is None
+            x = _smallest_clique_size(m, f)
             lval = (5 + sq(base_y - 8 * q)) >> 1
             rval = (1 + sq(base_z - 8 * q)) >> 1
             checked += 1
-            if impossible != (lval > rval):
+            if x != (None if lval > rval else lval):
                 mismatches.append({"m": m, "q": q, "f": f, "L": lval, "R": rval,
-                                   "search_impossible": impossible})
-    return [(checked, mismatches)]
-
-
-def xcheck_lr_equivalence(
-    m_lo: int,
-    m_hi: int,
-    jobs: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> dict:
-    """For every m = 0, 1 (mod 4) in range and every integer q with |q| <= m
-    inside the envelope, check that the direct search says impossible exactly
-    when L > R.  Returns {"pairs_checked", "mismatches"}."""
-    parts = run_chunked(_xcheck_chunk, m_lo, m_hi, jobs=jobs, chunk=chunk)
-    checked = sum(c for c, _ in parts)
-    mismatches = [rec for _, ms in parts for rec in ms]
+                                   "search_x": x})
     return {"pairs_checked": checked, "mismatches": mismatches}

@@ -99,11 +99,35 @@ class Graph:
         return f"Graph(n={self.n}, e={self.edge_count()})"
 
 
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """The subgraph of g induced on `vertices`, relabelled 0.. in sorted order."""
+    order = sorted(vertices)
+    index = {v: i for i, v in enumerate(order)}
+    mask = sum(1 << v for v in order)
+    rows = []
+    for v in order:
+        r = g.rows[v] & mask
+        row = 0
+        while r:
+            b = r & -r
+            row |= 1 << index[b.bit_length() - 1]
+            r ^= b
+        rows.append(row)
+    return Graph(len(order), rows)
+
+
+GRAPH6_MAX_N = 258047  # largest order the 4-byte header can state
+
+
 def to_graph6(g: Graph) -> str:
-    """Header-less graph6 string; bit-exact for 0 <= n <= 62."""
+    """Header-less graph6 string; bit-exact for 0 <= n <= 258047.
+
+    The order is one byte chr(n + 63) up to n = 62, and above that "~"
+    followed by n in three big-endian 6-bit bytes (n = 63 gives "~??~").
+    """
     n = g.n
-    if n > 62:
-        raise DomainError(f"graph6 support here covers n <= 62, got n={n}")
+    if n > GRAPH6_MAX_N:
+        raise DomainError(f"graph6 support here covers n <= {GRAPH6_MAX_N}, got n={n}")
     bits = []
     for j in range(1, n):
         row = g.rows[j]
@@ -111,7 +135,10 @@ def to_graph6(g: Graph) -> str:
             bits.append(row >> i & 1)
     while len(bits) % 6:
         bits.append(0)
-    chars = [chr(n + 63)]
+    if n <= 62:
+        chars = [chr(n + 63)]
+    else:
+        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         word = 0
         for b in bits[k : k + 6]:
@@ -120,23 +147,38 @@ def to_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
+def _graph6_word(ch: str) -> int:
+    word = ord(ch) - 63
+    if not 0 <= word < 64:
+        raise DomainError(f"invalid graph6 byte {ch!r}")
+    return word
+
+
 def from_graph6(text: str) -> Graph:
-    """Decode a header-less graph6 string with n <= 62."""
+    """Decode a header-less graph6 string with n <= 258047."""
     s = text.strip()
     if not s:
         raise DomainError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if not 0 <= n <= 62:
-        raise DomainError(f"unsupported graph6 order byte {s[0]!r} (n <= 62 only)")
+    if s[0] == "~":
+        if len(s) < 4 or s[1] == "~":
+            raise DomainError(
+                f"unsupported graph6 order header {s[:4]!r} (n <= {GRAPH6_MAX_N} only)"
+            )
+        n = 0
+        for ch in s[1:4]:
+            n = n << 6 | _graph6_word(ch)
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        if not 0 <= n <= 62:
+            raise DomainError(f"unsupported graph6 order byte {s[0]!r}")
+        body = s[1:]
     need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
     if len(body) != need:
         raise DomainError(f"graph6 body length {len(body)}, expected {need} for n={n}")
     bits = []
     for ch in body:
-        word = ord(ch) - 63
-        if not 0 <= word < 64:
-            raise DomainError(f"invalid graph6 byte {ch!r}")
+        word = _graph6_word(ch)
         bits.extend(word >> k & 1 for k in range(5, -1, -1))
     g = Graph(n)
     idx = 0

@@ -15,12 +15,10 @@ from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
 from .graphs import Graph, girth, to_graph6
-from .parallel import run_chunked
 
 FULL_CACHE_MAX = 8       # levels held fully in memory, reused across queries
 DEFAULT_QUERY_GUARD = 10  # single (n, e) enumeration
 DEFAULT_SWEEP_GUARD = 9   # full S_n sweeps
-DEFAULT_SUBSET_GUARD = 10**8
 ORACLE_MAX_M = 12
 
 
@@ -109,24 +107,6 @@ def class_counts(n: int) -> dict[int, int]:
     if n > FULL_CACHE_MAX:
         raise GuardError(f"full class counts cached only up to n={FULL_CACHE_MAX}")
     return {e: len(cls) for e, cls in sorted(_classes_by_edges(n).items())}
-
-
-def labeled_class_counts(n: int) -> dict[int, int]:
-    """Independent recount: enumerate all labeled graphs on n vertices and
-    deduplicate by canonical form.  Exponential; guarded to n <= 6."""
-    if n > 6:
-        raise GuardError(f"labeled recount is 2^binom2(n) work; n <= 6 only, got {n}")
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    seen: dict[int, set[tuple[int, ...]]] = {}
-    for word in range(1 << len(pairs)):
-        rows = [0] * n
-        for idx, (i, j) in enumerate(pairs):
-            if word >> idx & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        e = sum(r.bit_count() for r in rows) // 2
-        seen.setdefault(e, set()).add(canonical_rows(tuple(rows), n))
-    return {e: len(forms) for e, forms in sorted(seen.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +203,14 @@ class ArrowReport:
 
 
 def compute_S_n(
-    n: int,
-    pair: PairMF,
-    jobs: int = 1,
-    sweep_guard: int = DEFAULT_SWEEP_GUARD,
+    n: int, pair: PairMF, sweep_guard: int = DEFAULT_SWEEP_GUARD
 ) -> ArrowReport:
-    """Full report over e in [0, binom2(n)]; e-ranges may be chunked across
-    workers, merged in order."""
+    """Full report over e in [0, binom2(n)].
+
+    Every e is one arrows_pair query, held to the default query guard: a
+    sweep guard raised above it still refuses at the first query instead of
+    starting an enumeration that does not finish.
+    """
     if n > sweep_guard:
         raise GuardError(
             f"S_n sweep guard: n={n} exceeds {sweep_guard} "
@@ -237,22 +218,16 @@ def compute_S_n(
         )
     if pair.m > n:
         raise DomainError(f"pair order {pair.m} exceeds n={n}")
-    _ = list(enumerate_graphs(n, 0))  # warm the shared class cache serially
-
-    def chunk_fn(e_lo: int, e_hi: int) -> list[tuple[int, bool, str | None]]:
-        out = []
-        for e in range(e_lo, e_hi + 1):
-            verdict = arrows_pair(n, e, pair, query_guard=max(n, DEFAULT_QUERY_GUARD))
-            cex = to_graph6(verdict.counterexample) if verdict.counterexample else None
-            out.append((e, verdict.arrows, cex))
-        return out
-
     total = binom2(n)
-    chunk = max(1, (total + 1 + max(jobs, 1) - 1) // max(jobs, 1))
-    rows = run_chunked(chunk_fn, 0, total, jobs=jobs, chunk=chunk)
-    S = tuple(e for e, ok, _ in rows if ok)
-    counterexamples = {e: cex for e, ok, cex in rows if not ok and cex is not None}
-    return ArrowReport(n, pair, S, counterexamples, len(S) / (total + 1))
+    S = []
+    counterexamples = {}
+    for e in range(total + 1):
+        verdict = arrows_pair(n, e, pair)
+        if verdict.arrows:
+            S.append(e)
+        else:
+            counterexamples[e] = to_graph6(verdict.counterexample)
+    return ArrowReport(n, pair, tuple(S), counterexamples, len(S) / (total + 1))
 
 
 # ---------------------------------------------------------------------------

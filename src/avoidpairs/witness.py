@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .criterion import CliqueForestCert, Impossible, PairMF, clique_forest_realizable
 from .errors import DomainError, GuardError
 from .exactarith import binom2, isqrt
-from .graphs import Graph, girth
+from .graphs import Graph, girth, induced_subgraph
 from .oracle import _has_induced_size
 
 DEFAULT_SUBSET_GUARD = 10**8
@@ -174,18 +174,7 @@ def verify_witness(w: WitnessGraph, pair: PairMF) -> WitnessVerdict:
         failures.append("clique-complete")
     if any(s.rows[v] & rest_mask for v in clique):
         failures.append("cross-edges")
-    part_order = sorted(rest)
-    index = {v: i for i, v in enumerate(part_order)}
-    part = Graph(len(part_order))
-    for v in part_order:
-        r = s.rows[v] & rest_mask
-        while r:
-            b = r & -r
-            u = b.bit_length() - 1
-            r ^= b
-            if u > v:
-                part.add_edge(index[v], index[u])
-    if not girth(part) > max(w.girth_bound, pair.m):
+    if not girth(induced_subgraph(s, rest)) > max(w.girth_bound, pair.m):
         failures.append("girth")
     target = pair.complement() if w.complemented else pair
     cert = clique_forest_realizable(target)

@@ -1,0 +1,76 @@
+"""Test-only helpers: independent reference implementations and small
+queries over scanner records that the package itself does not need."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from avoidpairs.canon import canonical_rows
+from avoidpairs.errors import DomainError, GuardError
+from avoidpairs.exactarith import binom2
+
+
+def smallest_clique_size_linear(m: int, f: int) -> int | None:
+    """Smallest clique size x such that (m, f) is K_x plus a forest on the
+    other m - x vertices, by a linear scan over x; None when no x works."""
+    for x in range(m + 1):
+        clique_edges = binom2(x)
+        if clique_edges > f:
+            break
+        rest = m - x
+        budget = rest - 1 if rest >= 1 else 0
+        if f - clique_edges <= budget:
+            return x
+    return None
+
+
+@dataclass(frozen=True)
+class TableQ:
+    """q(m) looked up from an explicit table; missing m raises DomainError."""
+
+    table: dict
+
+    def __call__(self, m: int) -> int:
+        try:
+            return self.table[m]
+        except KeyError:
+            raise DomainError(f"q table has no entry for m={m}") from None
+
+
+def scan_hits(records: list[dict]) -> list[int]:
+    """The m values of "hit" records."""
+    return [rec["m"] for rec in records if rec.get("status") == "hit"]
+
+
+def first_persistent_m(records: list[dict]) -> int | None:
+    """Smallest scanned m from which every later record has a holding branch.
+
+    Reports an observation over the scanned range only; no claim is made that
+    the boundary is tight beyond it.
+    """
+    last_bad = None
+    for rec in records:
+        if rec["which"] == "none":
+            last_bad = rec["m"]
+    if last_bad is None:
+        return records[0]["m"] if records else None
+    later = [rec["m"] for rec in records if rec["m"] > last_bad]
+    return later[0] if later else None
+
+
+def labeled_class_counts(n: int) -> dict[int, int]:
+    """Independent recount: enumerate all labeled graphs on n vertices and
+    deduplicate by canonical form.  Exponential; guarded to n <= 6."""
+    if n > 6:
+        raise GuardError(f"labeled recount is 2^binom2(n) work; n <= 6 only, got {n}")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    seen: dict[int, set[tuple[int, ...]]] = {}
+    for word in range(1 << len(pairs)):
+        rows = [0] * n
+        for idx, (i, j) in enumerate(pairs):
+            if word >> idx & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        e = sum(r.bit_count() for r in rows) // 2
+        seen.setdefault(e, set()).add(canonical_rows(tuple(rows), n))
+    return {e: len(forms) for e, forms in sorted(seen.items())}

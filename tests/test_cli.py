@@ -101,6 +101,46 @@ def test_witness_build_verify_roundtrip(capsys, tmp_path):
     assert code == EXIT_OK and json_lines(out)[0]["passed"] is True
 
 
+def test_witness_graph6_round_trip_above_62_vertices(capsys, tmp_path):
+    g6_path = tmp_path / "w100.g6"
+    code, out, _ = run_cli(
+        capsys, "witness", "build", "--n", "100", "--e", "60", "--p", "41",
+        "--pair", "40,390", "--graph6", str(g6_path),
+    )
+    assert code == EXIT_OK
+    rec = json_lines(out)[0]
+    assert rec["verify"]["passed"] is True
+    assert g6_path.read_text() == rec["graph6"] + "\n"
+    clique = ",".join(str(v) for v in rec["clique_vertices"])
+
+    code, out, _ = run_cli(
+        capsys, "witness", "verify", "--graph6", str(g6_path),
+        "--pair", "40,390", "--clique-vertices", clique, "--p", "41",
+    )
+    assert code == EXIT_OK and json_lines(out)[0]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing-graph6", "non-integer-vertex", "vertex-out-of-range", "unwritable-graph6"],
+)
+def test_witness_bad_input_exits_2_with_json_error(capsys, tmp_path, case):
+    g6_path = tmp_path / "k3.g6"
+    g6_path.write_text("Bw\n")  # K_3
+    verify = ["witness", "verify", "--graph6", str(g6_path), "--pair", "3,1"]
+    argv = {
+        "missing-graph6": ["witness", "verify", "--graph6", str(tmp_path / "absent.g6"),
+                           "--pair", "3,1", "--clique-vertices", "0"],
+        "non-integer-vertex": verify + ["--clique-vertices", "x"],
+        "vertex-out-of-range": verify + ["--clique-vertices", "9"],
+        "unwritable-graph6": ["witness", "build", "--n", "10", "--e", "5", "--p", "5",
+                              "--graph6", str(tmp_path / "no-such-dir" / "w.g6")],
+    }[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert json.loads(err)["kind"] == "domain"
+
+
 def test_witness_infeasible_exit_code(capsys):
     # e = binom2(5)/2 keeps the direct orientation, whose greedy run starves
     code, out, _ = run_cli(capsys, "witness", "build", "--n", "5", "--e", "5", "--p", "5")
@@ -118,6 +158,12 @@ def test_oracle_commands(capsys):
     assert code == EXIT_OK and rec["S"] == list(range(1, 11))
 
     code, _, err = run_cli(capsys, "oracle", "sn", "--n", "12", "--m", "4", "--f", "3")
+    assert code == EXIT_GUARD and "guard" in err
+
+    # a sweep guard raised above the query guard still refuses, at once
+    code, _, err = run_cli(
+        capsys, "oracle", "sn", "--n", "11", "--m", "3", "--f", "1", "--sweep-guard", "11"
+    )
     assert code == EXIT_GUARD and "guard" in err
 
     code, out, _ = run_cli(capsys, "oracle", "xcheck-cf", "--max-m", "8")
@@ -166,10 +212,18 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "witness", "build", "--n", "5", "--e", "99", "--p", "5")
     assert code == EXIT_USAGE
 
+    with pytest.raises(SystemExit) as exc:  # the thread knob is gone
+        main(["criterion", "scan-t4", "--from", "740", "--to", "800", "--jobs", "2"])
+    assert exc.value.code == EXIT_USAGE
+
 
 def test_fracbits_validation(capsys):
     code, _, err = run_cli(capsys, "--fracbits", "8", "criterion", "eval", "--m", "40", "--q", "0")
     assert code == EXIT_USAGE and "fracbits" in err
+    code, out, err = run_cli(capsys, "--fracbits", "2000", "pell", "--count", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert json.loads(err) == {"error": "fracbits must be in [32, 1024], got 2000",
+                               "kind": "domain"}
 
 
 def test_json_round_trip_is_byte_identical(capsys):
@@ -196,11 +250,3 @@ def test_repeated_runs_are_identical(capsys):
     _, out1, _ = run_cli(capsys, "criterion", "scan-t4", "--from", "740", "--to", "1200")
     _, out2, _ = run_cli(capsys, "criterion", "scan-t4", "--from", "740", "--to", "1200")
     assert out1 == out2
-
-
-def test_env_thread_override(capsys, monkeypatch):
-    monkeypatch.setenv("AVOID_THREADS", "3")
-    _, out_env, _ = run_cli(capsys, "criterion", "scan-t4", "--from", "740", "--to", "1500")
-    monkeypatch.delenv("AVOID_THREADS")
-    _, out_serial, _ = run_cli(capsys, "criterion", "scan-t4", "--from", "740", "--to", "1500")
-    assert out_env == out_serial

@@ -11,16 +11,12 @@ from avoidpairs.criterion import (
     Impossible,
     PairMF,
     Realizable,
-    TableQ,
     _smallest_clique_size,
-    _smallest_clique_size_linear,
     avoidability_certificate,
     clique_forest_realizable,
     eval_criterion,
-    first_persistent_m,
     lr_from_f,
     lr_values,
-    scan_hits,
     scan_interval,
     scan_mod23,
     scan_affine_q,
@@ -29,6 +25,7 @@ from avoidpairs.criterion import (
 )
 from avoidpairs.errors import DomainError, ScanAssertionError
 from avoidpairs.exactarith import binom2
+from helpers import TableQ, first_persistent_m, scan_hits, smallest_clique_size_linear
 
 
 def test_pair_validation_and_complement():
@@ -71,10 +68,28 @@ def test_realizability_examples():
     assert isinstance(clique_forest_realizable(PairMF(6, 14)), Impossible)
 
 
+def test_floors_decide_only_on_m_le_f_lt_binom2_m():
+    # (3, 2) and every (m, binom2(m)) are realizable although L > R
+    assert lr_from_f(3, 2) == (3, 2)
+    assert clique_forest_realizable(PairMF(3, 2)) == Realizable(0, 3, 2)
+    for m in range(3, 40):  # below 3, f = binom2(m) <= m - 1 takes x = 0
+        L, R = lr_from_f(m, binom2(m))
+        assert L > R, m
+        assert clique_forest_realizable(PairMF(m, binom2(m))) == Realizable(m, 0, 0)
+    with pytest.raises(DomainError):
+        lr_from_f(5, 3)  # f < m - 1: L is undefined
+
+
+def _clique_size(cert):
+    return cert.x if isinstance(cert, Realizable) else None
+
+
 def test_bisection_matches_linear_search_exhaustively():
     for m in range(1, 61):
         for f in range(binom2(m) + 1):
-            assert _smallest_clique_size(m, f) == _smallest_clique_size_linear(m, f), (m, f)
+            want = smallest_clique_size_linear(m, f)
+            assert _smallest_clique_size(m, f) == want, (m, f)
+            assert _clique_size(clique_forest_realizable(PairMF(m, f))) == want, (m, f)
 
 
 def test_lr_from_f_matches_q_parametrization():
@@ -256,15 +271,3 @@ def test_members_of_M_have_exact_half_frac_and_strict_floors():
         assert root % 2 == 1
         assert ev.frac_y.value == 1 << (ev.frac_y.fracbits - 1)
         assert ev.L > ev.R
-
-
-def test_scanners_are_chunk_invariant():
-    serial = scan_offset_disjunction(700, 3000, jobs=1)
-    threaded = scan_offset_disjunction(700, 3000, jobs=3, chunk=173)
-    assert serial == threaded
-    s2 = scan_affine_q(AffineQ(Fraction(1, 2), Fraction(3)), 5, 1500, jobs=1)
-    t2 = scan_affine_q(AffineQ(Fraction(1, 2), Fraction(3)), 5, 1500, jobs=4, chunk=97)
-    assert s2 == t2
-    sm = scan_mod23(6, 300, jobs=1)
-    tm = scan_mod23(6, 300, jobs=2, chunk=41)
-    assert sm == tm

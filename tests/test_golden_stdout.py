@@ -1,0 +1,91 @@
+"""Golden stdout: each command's stdout must hash to the value recorded from
+the implementation before the thread layer and the bisection verdict were
+removed.  A refactor that changes a byte of output fails here.
+
+Regenerate a hash only for a deliberate output change, by running the argv
+through ``avoidpairs.cli.main`` and taking the sha256 of stdout.
+"""
+
+import hashlib
+
+import pytest
+
+from avoidpairs.cli import main
+
+# a clique K_5 plus a girth > 6 part: `witness build --n 20 --e 12 --p 6`
+WITNESS_G6 = "S~{?GG???????????????????????????"
+
+GOLDEN = [
+    (['pell', '--count', '5'], 0,
+     'a45f499a981325e05dd074c8b6e7ee9170096af2469383b3cfbbda52bb5521c0'),
+    (['pell', '--count', '4', '--raw'], 0,
+     '4bd6af73e063690e00901494e592307669e550fe1b913a601db35ccb8a037f54'),
+    (['criterion', 'eval', '--m', '40', '--q', '0'], 0,
+     '5fc15d0ee13dab1fb01d8abf147946546f5b7938387072824e1d1b73ec519894'),
+    (['--fracbits', '64', 'criterion', 'eval', '--m', '1276', '--q', '-7'], 0,
+     'd8e3eae8b754c843fd20fb8fe504732fd87a0cb4aeabac3d358618e415a6c3df'),
+    (['criterion', 'eval', '--m', '221', '--q', '3', '--csv'], 0,
+     '46a458b02948cc888948505bfc4f590b5304730fb61864c9a93e556fd4d47ff6'),
+    (['criterion', 'cert', '--m', '5', '--f', '4'], 0,
+     'b033aabede7be66e34601a5c9c0e6f806afe3ff6c9b43df381f7393534b1f132'),
+    (['criterion', 'cert', '--m', '3', '--f', '2'], 0,
+     '8d6daf2ff70d2dcda36c15ca01369c8d6e020e2931291260ef203d8eab5848d1'),
+    (['criterion', 'cert', '--m', '6', '--f', '14'], 0,
+     'a27de09f28ff419fc9052d2bc5c448233a1f72ee88a10202caa96a0f742db96e'),
+    (['criterion', 'cert', '--m', '6', '--f', '15'], 0,
+     '1c2d5f68b2dcd3530d98311b1c1709e27b32a8f9f7cdab1e6891ab86e71b0602'),
+    (['criterion', 'cert', '--m', '40', '--f', '390'], 0,
+     '0c8e5c7f78d213a880c848598d33b539753bb968206483b46c535b70afdad085'),
+    (['criterion', 'scan-t4', '--from', '740', '--to', '5000'], 0,
+     'd1a60f25f8db4d233c401ab07e03f7a6e07ba4a2f8cccbba24d7c10cdea685e3'),
+    (['criterion', 'scan-t4', '--from', '5', '--to', '900', '--csv'], 0,
+     'cbc5ce2b50425d970e2e1636557decfae410752bb066bfeb3f4f95ff981ab41b'),
+    (['criterion', 'scan-t2', '--alpha', '1/2', '--beta', '3', '--from', '5', '--to', '1500'], 0,
+     'e2bd60d1e72c32efedc2b6da374e2f886dd2eca8bf57472cc5e9496437ed18f9'),
+    (['criterion', 'scan-t2', '--alpha', '0', '--beta', '0', '--from', '5', '--to', '300', '--csv'], 0,
+     'e1c0eb7b583df597e199b8855c748303b89975041a81a7f191ed1e4309fc6043'),
+    (['criterion', 'scan-interval', '--m', '2000'], 0,
+     'fb9cb5c33c5fdeb09ee7efe8a235a9a87f7a527d2e8cb5c1d1456ff2b02414cd'),
+    (['criterion', 'scan-mod23', '--from', '6', '--to', '400'], 0,
+     'ad88a21bebf9b5cdfb62aea65690cdabf78683d64bdb4fd70476d75e9d7315f7'),
+    (['witness', 'build', '--n', '30', '--e', '20', '--p', '6', '--pair', '5,5'], 0,
+     '0a751432ca242a3f2aa68b5372df655f6c9988755c75965c9bc4cbec71801f14'),
+    (['witness', 'build', '--n', '5', '--e', '5', '--p', '5'], 5,
+     '54104dc6eb80a2a259ffc52f85d1f73404d2737d82358aaba6fdd2aff62b2152'),
+    (['witness', 'verify', '--graph6', '{g6}', '--pair', '5,5', '--clique-vertices', '0,1,2,3,4', '--p', '6'], 0,
+     'ad2b96b3b7df587f5ca23ac3324d94e144397462ee90aa8ff8c10b3d43f8d56b'),
+    (['oracle', 'arrows', '--n', '5', '--e', '4', '--m', '3', '--f', '3'], 0,
+     '6707d1999c59dc2d0b48ddbac4b96c80dfc24e2192c989c883702c294256c2f3'),
+    (['oracle', 'sn', '--n', '6', '--m', '3', '--f', '1'], 0,
+     'aa6b5cf01400e63bbb988de6b78486160139a5ae80a0b8b07f2937dda9f03ef8'),
+    (['oracle', 'sn', '--n', '6', '--m', '4', '--f', '3', '--csv'], 0,
+     '4fd94e1824d63fe0714e6812ba95a154e81c4f081601a09cee3e82f57aee636c'),
+    (['oracle', 'xcheck-cf', '--max-m', '8'], 0,
+     '14b13d0a8d606d427c9b85444a6561c5952ad7e051482b81c50a465ce2311b70'),
+    (['bipartite', 'realize', '--m', '5', '--f', '9'], 0,
+     '32a52c514e08adac9e9aa2d585148286bbaf3bd0fb2af0b68cf804917294cceb'),
+    (['bipartite', 'realize', '--m', '5', '--f', '20', '--json', '--complement'], 0,
+     'dbfa764780b50cfea5fbd7d78381c3e7fe719204f8135da21e30d80023d99be9'),
+    (['diag', 'equidist', '--q', '0', '--n', '2000', '--bins', '10'], 0,
+     'e8f1953dc4dd19af4a29d8cc4f50693c819c6654b7af56a2f5b6af3b171f4555'),
+    (['diag', 'equidist', '--q', '0', '--n', '10', '--bins', '10', '--on-m'], 0,
+     '539c19a018379f710e390aba436c86c696c1aec84484d5b508b84151376f62c6'),
+    (['--fracbits', '64', 'diag', 'equidist', '--q', '5', '--n', '500', '--bins', '7'], 0,
+     'e9d604514790b4542bcc4b3846f2720fe0339958ce7023b3d3dfd50379a13141'),
+    (['criterion', 'scan-t4', '--from', '740', '--to', '1000', '--assert'], 0,
+     'a3205044978f37ed174ee1a38c99448d3a7458aba4011e110ac32b5d6e052c79'),
+    (['criterion', 'scan-interval', '--m', '7'], 0,
+     '07a7e8625090a3c1e8b69d7bc33abc54162ce0cf0db12a501a03341191abde02'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_stdout_matches_golden_hash(capsys, tmp_path, argv, code, digest):
+    g6_path = tmp_path / "w.g6"
+    g6_path.write_text(WITNESS_G6 + "\n")
+    argv = [str(g6_path) if arg == "{g6}" else arg for arg in argv]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -93,13 +93,28 @@ def test_graph6_round_trip_random():
     assert from_graph6(to_graph6(g62)) == g62
 
 
+def test_graph6_long_header_round_trip():
+    assert to_graph6(Graph(63)).startswith("~??~")
+    assert to_graph6(Graph(300))[:4] == "~?Ck"  # 300 = 4*64 + 44
+    rng = random.Random(7)
+    for n in (63, 64, 127, 300, 451):
+        g = _random_graph(rng, n, p=0.05)
+        text = to_graph6(g)
+        assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+        assert from_graph6(text) == g
+
+
 def test_graph6_errors():
     with pytest.raises(DomainError):
-        to_graph6(Graph(63))
+        to_graph6(Graph(258048))
     with pytest.raises(DomainError):
         from_graph6("")
     with pytest.raises(DomainError):
         from_graph6("B")  # truncated body
+    with pytest.raises(DomainError):
+        from_graph6("~??")  # truncated long header
+    with pytest.raises(DomainError):
+        from_graph6("~~?????")  # 8-byte header, n > 258047
 
 
 def test_girth_examples():
