@@ -70,16 +70,6 @@ def _encode(rows: tuple[int, ...], order: list[int]) -> int:
     return enc
 
 
-def tri_encoding(rows: tuple[int, ...], n: int) -> int:
-    """Upper-triangle encoding in label order; matches graph6 bit order."""
-    enc = 0
-    for j in range(1, n):
-        rj = rows[j]
-        for i in range(j):
-            enc = enc << 1 | (rj >> i & 1)
-    return enc
-
-
 def canonical_order_rows(rows: tuple[int, ...], n: int) -> list[int]:
     """A relabeling (new index -> old vertex) realizing the canonical form."""
     if n > 16:

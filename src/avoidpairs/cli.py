@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -90,20 +91,9 @@ def _parse_vertices(text: str, n: int) -> frozenset[int]:
 
 def cmd_pell(args) -> int:
     states = pell.pell_states() if args.raw else pell.m_states()
-    emitted = 0
-    for state in states:
-        if emitted == args.count:
-            break
-        emit(
-            {
-                "s": state.s,
-                "x": state.x,
-                "y": state.y,
-                "m": state.m,
-                "checks": pell.verify_pell_state(state),
-            }
-        )
-        emitted += 1
+    for state in itertools.islice(states, args.count):
+        emit({**dataclasses.asdict(state), "m": state.m,
+              "checks": pell.verify_pell_state(state)})
     return EXIT_OK
 
 
@@ -113,31 +103,34 @@ def cmd_pell(args) -> int:
 CRITERION_CSV_HEADER = ["m", "q", "Dy", "Dz", "L", "R", "verdict"]
 
 
-def _criterion_row(ev: criterion.CriterionEval) -> dict:
-    """The exact fields of an evaluation, keyed in CSV column order."""
-    return {"m": ev.m, "q": ev.q, "Dy": ev.Dy, "Dz": ev.Dz, "L": ev.L, "R": ev.R,
-            "verdict": "L>R" if ev.L > ev.R else "L<=R"}
+def _criterion_row(m: int, q: int) -> dict:
+    """The exact fields of (m, q), keyed in CSV column order: radicands and
+    floors only, none of eval_criterion's fixed-point roots."""
+    dy, dz = criterion.radicands(m, q)
+    L, R = criterion.lr_floors(dy, dz)
+    return {"m": m, "q": q, "Dy": dy, "Dz": dz, "L": L, "R": R,
+            "verdict": "L>R" if L > R else "L<=R"}
 
 
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _write_criterion_csv(evals) -> None:
+def _write_criterion_csv(mq_pairs) -> None:
     w = _csv_writer()
     w.writerow(CRITERION_CSV_HEADER)
-    for ev in evals:
-        w.writerow(_criterion_row(ev).values())
+    for m, q in mq_pairs:
+        w.writerow(_criterion_row(m, q).values())
 
 
 def cmd_criterion_eval(args) -> int:
-    ev = criterion.eval_criterion(args.m, args.q, args.fracbits)
     if args.csv:
-        _write_criterion_csv([ev])
+        _write_criterion_csv([(args.m, args.q)])
         return EXIT_OK
+    ev = criterion.eval_criterion(args.m, args.q, args.fracbits)
     emit(
         {
-            **_criterion_row(ev),
+            **_criterion_row(ev.m, ev.q),
             "frac_y": _frac_record(ev.frac_y),
             "d_approx": _frac_record(ev.d_approx),
         }
@@ -164,7 +157,7 @@ def cmd_criterion_scan_t4(args) -> int:
         return EXIT_ASSERTION
     if args.csv:
         _write_criterion_csv(
-            criterion.eval_criterion(rec["m"], k * rec["m"])
+            (rec["m"], k * rec["m"])
             for rec in records
             for k in ((0, 6, -6) if rec["L6m"] is not None else (0,))
         )
@@ -179,7 +172,7 @@ def cmd_criterion_scan_t2(args) -> int:
     records = criterion.scan_affine_q(q_of_m, args.from_m, args.to_m)
     if args.csv:
         _write_criterion_csv(
-            criterion.eval_criterion(rec["m"], sign * rec["q"])
+            (rec["m"], sign * rec["q"])
             for rec in records
             if rec["status"] in ("hit", "miss")
             for sign in (1, -1)
@@ -233,7 +226,7 @@ def cmd_witness_build(args) -> int:
     if args.pair is not None:
         pair = _parse_pair(args.pair)
         verdict = witness.verify_witness(built, pair)
-        record["pair"] = {"m": pair.m, "f": pair.f}
+        record["pair"] = dataclasses.asdict(pair)
         record["verify"] = {"passed": verdict.passed, "failures": list(verdict.failures)}
     if args.graph6 is not None:
         try:
@@ -265,7 +258,7 @@ def cmd_witness_verify(args) -> int:
     verdict = witness.verify_witness(w, pair)
     emit(
         {
-            "pair": {"m": pair.m, "f": pair.f},
+            "pair": dataclasses.asdict(pair),
             "passed": verdict.passed,
             "failures": list(verdict.failures),
         }
@@ -280,23 +273,15 @@ def cmd_witness_verify(args) -> int:
 def cmd_oracle_arrows(args) -> int:
     pair = criterion.PairMF(args.m, args.f)
     verdict = oracle.arrows_pair(args.n, args.e, pair, query_guard=args.query_guard)
-    emit(
-        {
-            "n": verdict.n,
-            "e": verdict.e,
-            "pair": {"m": pair.m, "f": pair.f},
-            "arrows": verdict.arrows,
-            "counterexample": to_graph6(verdict.counterexample)
-            if verdict.counterexample
-            else None,
-        }
-    )
+    g = verdict.counterexample
+    emit({"n": verdict.n, "e": verdict.e, "pair": dataclasses.asdict(pair),
+          "arrows": verdict.arrows, "counterexample": to_graph6(g) if g else None})
     return EXIT_OK
 
 
 def cmd_oracle_sn(args) -> int:
     pair = criterion.PairMF(args.m, args.f)
-    report = oracle.compute_S_n(args.n, pair, sweep_guard=args.sweep_guard)
+    report = oracle.compute_S_n(args.n, pair)
     if args.csv:
         w = _csv_writer()
         w.writerow(["e", "arrows", "counterexample"])
@@ -307,7 +292,7 @@ def cmd_oracle_sn(args) -> int:
     emit(
         {
             "n": report.n,
-            "pair": {"m": pair.m, "f": pair.f},
+            "pair": dataclasses.asdict(pair),
             "S": list(report.S),
             "counterexamples": {str(e): g6 for e, g6 in sorted(report.counterexamples.items())},
             "fixed_n_fraction": report.sigma_estimate,
@@ -347,8 +332,7 @@ def cmd_bipartite_realize(args) -> int:
     if args.json:
         emit(
             {
-                "m": pair.m,
-                "f": pair.f,
+                **dataclasses.asdict(pair),
                 "complemented": complemented,
                 "biclique": [decomp.x, decomp.y],
                 "forest_edges": [list(edge) for edge in decomp.forest_edges],
@@ -473,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     on.add_argument("--m", type=int, required=True)
     on.add_argument("--f", type=int, required=True)
     on.add_argument("--csv", action="store_true")
-    on.add_argument("--sweep-guard", dest="sweep_guard", type=_positive_int,
-                    default=oracle.DEFAULT_SWEEP_GUARD)
     on.set_defaults(handler=cmd_oracle_sn)
 
     ox = osub.add_parser("xcheck-cf")

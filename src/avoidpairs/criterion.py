@@ -99,23 +99,33 @@ class CriterionEval:
     d_approx: FixedPointFrac
 
 
-def _require_envelope(m: int, q: int) -> None:
+def _in_envelope(m: int, q: int) -> bool:
     # m >= 5 + 2*sqrt(|q|), checked as (m-5)^2 >= 4|q| with m >= 5
-    if m < 5:
-        raise DomainError(f"criterion needs m >= 5, got m={m}")
-    if (m - 5) ** 2 < 4 * abs(q):
+    return m >= 5 and (m - 5) ** 2 >= 4 * abs(q)
+
+
+def radicands(m: int, q: int) -> tuple[int, int]:
+    """(Dy, Dz) = (2m^2-10m-8q+9, 2m^2-2m-8q+1) for the (m, q)
+    parametrization, f = m(m-1)/4 - q; refused outside the envelope."""
+    if not _in_envelope(m, q):
+        if m < 5:
+            raise DomainError(f"criterion needs m >= 5, got m={m}")
         raise DomainError(
             f"criterion needs (m-5)^2 >= 4*|q| (i.e. m >= 5 + 2*sqrt(|q|)); "
             f"got m={m}, q={q}"
         )
+    return 2 * m * m - 10 * m - 8 * q + 9, 2 * m * m - 2 * m - 8 * q + 1
+
+
+def lr_floors(dy: int, dz: int) -> tuple[int, int]:
+    """(L, R) = (floor((5 + sqrt(Dy))/2), floor((1 + sqrt(Dz))/2)), exactly."""
+    return surd_floor(5, dy), surd_floor(1, dz)
 
 
 def lr_values(m: int, q: int) -> tuple[int, int]:
     """Exact (L, R) for the (m, q) parametrization, f = m(m-1)/4 - q."""
-    _require_envelope(m, q)
-    dy = 2 * m * m - 10 * m - 8 * q + 9
-    dz = 2 * m * m - 2 * m - 8 * q + 1
-    return surd_floor(5, dy), surd_floor(1, dz)
+    dy, dz = radicands(m, q)
+    return lr_floors(dy, dz)
 
 
 def lr_from_f(m: int, f: int) -> tuple[int, int]:
@@ -130,29 +140,20 @@ def lr_from_f(m: int, f: int) -> tuple[int, int]:
     dy = 8 * (f - m) + 9
     if dy < 0:
         raise DomainError(f"L is undefined for f < m - 1 (f={f}, m={m})")
-    return surd_floor(5, dy), surd_floor(1, 8 * f + 1)
+    return lr_floors(dy, 8 * f + 1)
 
 
 def eval_criterion(m: int, q: int, fracbits: int = DEFAULT_FRACBITS) -> CriterionEval:
     """Evaluate the exact floors and diagnostics for (m, q)."""
-    _require_envelope(m, q)
-    dy = 2 * m * m - 10 * m - 8 * q + 9
-    dz = 2 * m * m - 2 * m - 8 * q + 1
+    dy, dz = radicands(m, q)
     frac_y = frac_sqrt_half(dy, fracbits)
     # d = 3/2 - (sqrt(Dz) - sqrt(Dy))/2 at fracbits precision
     a = math.isqrt(dz << (2 * fracbits))
     b = math.isqrt(dy << (2 * fracbits))
     d_num = (3 << (fracbits - 1)) - ((a - b) >> 1)
-    return CriterionEval(
-        m=m,
-        q=q,
-        Dy=dy,
-        Dz=dz,
-        L=surd_floor(5, dy),
-        R=surd_floor(1, dz),
-        frac_y=frac_y,
-        d_approx=FixedPointFrac(d_num, fracbits),
-    )
+    L, R = lr_floors(dy, dz)
+    return CriterionEval(m=m, q=q, Dy=dy, Dz=dz, L=L, R=R, frac_y=frac_y,
+                         d_approx=FixedPointFrac(d_num, fracbits))
 
 
 def _smallest_clique_size(m: int, f: int) -> int | None:
@@ -249,11 +250,6 @@ QSpec = Callable[[int], int]
 # Scanners.  Each returns a list of plain dict records (JSON-ready) in m order.
 
 
-def _offsets_evaluable(m: int) -> bool:
-    # envelope for q = +/-6m: (m-5)^2 >= 24m
-    return m >= 5 and (m - 5) ** 2 >= 24 * m
-
-
 def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> list[dict]:
     """For each m = 0, 1 (mod 4) in range, report whether the center inequality
     L_0 > R_0 holds, or both offset inequalities at q = +/-6m hold.
@@ -267,7 +263,7 @@ def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> l
             continue
         l0, r0 = lr_values(m, 0)
         center = l0 > r0
-        if _offsets_evaluable(m):
+        if _in_envelope(m, 6 * m):
             l6, r6 = lr_values(m, 6 * m)
             lm6, rm6 = lr_values(m, -6 * m)
             offset = l6 > r6 and lm6 > rm6
@@ -311,7 +307,7 @@ def scan_affine_q(q_of_m: QSpec, m_lo: int, m_hi: int) -> list[dict]:
             records.append({"m": m, "status": "skipped-nonintegral-f"})
             continue
         q = q_of_m(m)
-        if m < 5 or (m - 5) ** 2 < 4 * abs(q):
+        if not _in_envelope(m, q):
             records.append({"m": m, "status": "skipped-envelope", "q": q})
             continue
         lp, rp = lr_values(m, q)

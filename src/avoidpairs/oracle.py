@@ -6,19 +6,19 @@ clique-plus-forest realization oracle independent of the floor criterion.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .canon import canonical_rows, tri_encoding
+from .canon import _encode, canonical_rows
 from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
 from .graphs import Graph, girth, to_graph6
 
-FULL_CACHE_MAX = 8       # levels held fully in memory, reused across queries
 DEFAULT_QUERY_GUARD = 10  # single (n, e) enumeration
-DEFAULT_SWEEP_GUARD = 9   # full S_n sweeps
+SWEEP_GUARD = 9           # full levels: S_n sweeps and class counts
 ORACLE_MAX_M = 12
 
 
@@ -32,81 +32,72 @@ def _extend(parent: tuple[int, ...], mask: int) -> tuple[int, ...]:
     return tuple(parent[i] | ((mask >> i & 1) << k) for i in range(k)) + (mask,)
 
 
-@lru_cache(maxsize=None)
-def _all_classes(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every isomorphism class on n vertices, as canonical rows sorted by the
-    upper-triangle encoding (graph6 order).
+def _edge_count(rows: tuple[int, ...]) -> int:
+    return sum(r.bit_count() for r in rows) // 2
 
-    Built by vertex augmentation: each (n)-class arises from some (n-1)-class
+
+@lru_cache(maxsize=None)
+def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
+    """Every isomorphism class on n vertices with e_lo <= e <= e_hi edges, as
+    canonical rows sorted by the upper-triangle encoding (graph6 order).
+
+    Built by vertex augmentation: each n-class arises from some (n-1)-class
     by attaching one vertex, so extending every parent with every neighbor
-    mask and deduplicating by canonical form is complete.
+    mask and deduplicating by canonical form is complete.  A child on k+1
+    vertices is kept only if the window is still reachable from it: at most
+    e_hi edges, and at least e_lo once every edge outside its k+1 vertices is
+    added.  Every induced subgraph of a graph in the window passes both
+    tests, so the pruning loses no class, and on the last vertex the two
+    tests are the window itself.  At n = 1 the window must contain 0.
     """
     if n < 1:
         raise DomainError(f"enumeration needs n >= 1, got {n}")
-    if n == 1:
-        return ((0,),)
-    out = set()
-    k = n - 1
-    for parent in _all_classes(k):
-        for mask in range(1 << k):
-            out.add(canonical_rows(_extend(parent, mask), n))
-    return tuple(sorted(out, key=lambda rs: tri_encoding(rs, n)))
-
-
-@lru_cache(maxsize=None)
-def _classes_by_edges(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    grouped: dict[int, list[tuple[int, ...]]] = {}
-    for rows in _all_classes(n):
-        e = sum(r.bit_count() for r in rows) // 2
-        grouped.setdefault(e, []).append(rows)
-    return {e: tuple(classes) for e, classes in grouped.items()}
-
-
-def _classes_n_e_windowed(n: int, e: int) -> tuple[tuple[int, ...], ...]:
-    """Augmentation pruned to the edge window reachable from (n, e); used for
-    single queries above the full-cache level."""
-    level: set[tuple[int, ...]] = {(0,)}
     total = binom2(n)
+    level: set[tuple[int, ...]] = {(0,)}
     for k in range(1, n):
         cap_after = total - binom2(k + 1)  # edges still addable beyond k+1 vertices
         nxt: set[tuple[int, ...]] = set()
         for parent in level:
-            e_parent = sum(r.bit_count() for r in parent) // 2
+            e_parent = _edge_count(parent)
             for mask in range(1 << k):
                 e_child = e_parent + mask.bit_count()
-                if e_child > e or e_child + cap_after < e:
+                if e_child > e_hi or e_child + cap_after < e_lo:
                     continue
                 nxt.add(canonical_rows(_extend(parent, mask), k + 1))
         level = nxt
-    keep = [rows for rows in level if sum(r.bit_count() for r in rows) // 2 == e]
-    return tuple(sorted(keep, key=lambda rs: tri_encoding(rs, n)))
+    identity = list(range(n))
+    return tuple(sorted(level, key=lambda rs: _encode(rs, identity)))
+
+
+def _refuse_above(n: int, guard: int, what: str) -> None:
+    if n > guard:
+        raise GuardError(
+            f"{what} guard: n={n} exceeds {guard} "
+            f"(roughly {class_count_estimate(n):.3g} classes)"
+        )
 
 
 def enumerate_graphs(n: int, e: int, query_guard: int = DEFAULT_QUERY_GUARD) -> Iterator[Graph]:
     """Yield one representative per isomorphism class with n vertices, e edges,
-    in canonical (graph6) order."""
+    in canonical (graph6) order.
+
+    Only the edge window (e, e) is built, at every n, so a query never pays
+    for the classes of other edge counts."""
     if n < 1:
         raise DomainError(f"enumeration needs n >= 1, got {n}")
     if not 0 <= e <= binom2(n):
         raise DomainError(f"edge count must satisfy 0 <= e <= {binom2(n)}, got {e}")
-    if n > query_guard:
-        raise GuardError(
-            f"enumeration guard: n={n} exceeds {query_guard} "
-            f"(roughly {class_count_estimate(n):.3g} classes)"
-        )
-    if n <= FULL_CACHE_MAX:
-        classes = _classes_by_edges(n).get(e, ())
-    else:
-        classes = _classes_n_e_windowed(n, e)
-    for rows in classes:
+    _refuse_above(n, query_guard, "enumeration")
+    for rows in _all_classes(n, e, e):
         yield Graph(n, list(rows))
 
 
 def class_counts(n: int) -> dict[int, int]:
-    """Isomorphism-class counts on n vertices keyed by edge count."""
-    if n > FULL_CACHE_MAX:
-        raise GuardError(f"full class counts cached only up to n={FULL_CACHE_MAX}")
-    return {e: len(cls) for e, cls in sorted(_classes_by_edges(n).items())}
+    """Isomorphism-class counts on n vertices keyed by edge count, bucketed
+    from the same full level an S_n sweep builds."""
+    _refuse_above(n, SWEEP_GUARD, "class count")
+    counts = Counter(_edge_count(rows) for rows in _all_classes(n, 0, binom2(n)))
+    return dict(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -202,32 +193,26 @@ class ArrowReport:
     sigma_estimate: float
 
 
-def compute_S_n(
-    n: int, pair: PairMF, sweep_guard: int = DEFAULT_SWEEP_GUARD
-) -> ArrowReport:
-    """Full report over e in [0, binom2(n)].
+def compute_S_n(n: int, pair: PairMF) -> ArrowReport:
+    """Full report over e in [0, binom2(n)], refused above n = SWEEP_GUARD.
 
-    Every e is one arrows_pair query, held to the default query guard: a
-    sweep guard raised above it still refuses at the first query instead of
-    starting an enumeration that does not finish.
+    The level on n vertices is built once and every class is decided in one
+    pass in graph6 order, so the first failure at each e is the least
+    canonical counterexample; once e has one, its later classes are skipped.
     """
-    if n > sweep_guard:
-        raise GuardError(
-            f"S_n sweep guard: n={n} exceeds {sweep_guard} "
-            f"(roughly {class_count_estimate(n):.3g} classes)"
-        )
+    _refuse_above(n, SWEEP_GUARD, "S_n sweep")
     if pair.m > n:
         raise DomainError(f"pair order {pair.m} exceeds n={n}")
     total = binom2(n)
-    S = []
-    counterexamples = {}
-    for e in range(total + 1):
-        verdict = arrows_pair(n, e, pair)
-        if verdict.arrows:
-            S.append(e)
-        else:
-            counterexamples[e] = to_graph6(verdict.counterexample)
-    return ArrowReport(n, pair, tuple(S), counterexamples, len(S) / (total + 1))
+    counterexamples: dict[int, str] = {}
+    for rows in _all_classes(n, 0, total):
+        e = _edge_count(rows)
+        if e not in counterexamples:
+            g = Graph(n, list(rows))
+            if not arrows(g, pair):
+                counterexamples[e] = to_graph6(g)
+    S = tuple(e for e in range(total + 1) if e not in counterexamples)
+    return ArrowReport(n, pair, S, dict(sorted(counterexamples.items())), len(S) / (total + 1))
 
 
 # ---------------------------------------------------------------------------

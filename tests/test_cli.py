@@ -160,11 +160,9 @@ def test_oracle_commands(capsys):
     code, _, err = run_cli(capsys, "oracle", "sn", "--n", "12", "--m", "4", "--f", "3")
     assert code == EXIT_GUARD and "guard" in err
 
-    # a sweep guard raised above the query guard still refuses, at once
-    code, _, err = run_cli(
-        capsys, "oracle", "sn", "--n", "11", "--m", "3", "--f", "1", "--sweep-guard", "11"
-    )
-    assert code == EXIT_GUARD and "guard" in err
+    with pytest.raises(SystemExit) as exc:  # sweeps are fixed at n <= 9, not an option
+        main(["oracle", "sn", "--n", "11", "--m", "3", "--f", "1", "--sweep-guard", "11"])
+    assert exc.value.code == EXIT_USAGE
 
     code, out, _ = run_cli(capsys, "oracle", "xcheck-cf", "--max-m", "8")
     rec = json_lines(out)[0]

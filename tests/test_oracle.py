@@ -6,8 +6,9 @@ import pytest
 from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
-from avoidpairs.graphs import Graph, from_graph6
+from avoidpairs.graphs import Graph, from_graph6, to_graph6
 from avoidpairs.oracle import (
+    _all_classes,
     arrows,
     arrows_pair,
     class_counts,
@@ -18,7 +19,7 @@ from avoidpairs.oracle import (
 )
 from helpers import labeled_class_counts
 
-KNOWN_TOTALS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_TOTALS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def test_class_totals_match_known_sequence():
@@ -36,11 +37,11 @@ def test_single_edge_count_examples():
 
 
 def test_enumeration_is_deterministic_and_guarded():
-    from avoidpairs.canon import tri_encoding
-
-    a = [g.key() for g in enumerate_graphs(6, 7)]
-    b = [g.key() for g in enumerate_graphs(6, 7)]
-    assert a == b == sorted(a, key=lambda k: tri_encoding(k[1], 6))
+    graphs = list(enumerate_graphs(6, 7))
+    assert [g.key() for g in graphs] == [g.key() for g in enumerate_graphs(6, 7)]
+    # equal-length graph6 strings sort like their upper-triangle bits
+    codes = [to_graph6(g) for g in graphs]
+    assert codes == sorted(codes)
     with pytest.raises(GuardError):
         list(enumerate_graphs(11, 5))
     with pytest.raises(DomainError):
@@ -48,12 +49,12 @@ def test_enumeration_is_deterministic_and_guarded():
 
 
 def test_windowed_enumeration_agrees_with_full_cache():
-    from avoidpairs.oracle import _classes_n_e_windowed
-
-    for n, e in [(5, 4), (6, 7), (7, 0), (7, 21), (6, 15)]:
-        full = [g.key()[1] for g in enumerate_graphs(n, e)]
-        windowed = list(_classes_n_e_windowed(n, e))
-        assert full == [tuple(rows) for rows in windowed]
+    # the (e, e) window against the e-bucket of the full level, which an
+    # S_n sweep builds and caches
+    for n, e in [(5, 4), (6, 7), (7, 0), (7, 21), (6, 15), (8, 3), (8, 14)]:
+        full = _all_classes(n, 0, binom2(n))
+        bucket = [rows for rows in full if sum(r.bit_count() for r in rows) == 2 * e]
+        assert list(_all_classes(n, e, e)) == bucket
 
 
 def test_labeled_recount_matches_augmentation():

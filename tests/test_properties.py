@@ -1,11 +1,13 @@
-"""Property tests: the floor decision against the linear reference, and the
-graph6 round trip, over inputs drawn by hypothesis."""
+"""Property tests: the floor decision against the linear reference, the
+graph6 round trip, and canonical labelling under relabelling, over inputs
+drawn by hypothesis."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avoidpairs.canon import canonical_rows
 from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
 from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
@@ -39,3 +41,21 @@ def test_graph6_round_trip(n, density, seed):
         n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
     )
     assert from_graph6(to_graph6(g)) == g
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [uv for i, uv in enumerate(pairs) if mask >> i & 1]
+    perm = draw(st.permutations(range(n)))
+    return (Graph.from_edges(n, edges),
+            Graph.from_edges(n, ((perm[u], perm[v]) for u, v in edges)))
+
+
+@given(relabelled_graphs())
+@settings(max_examples=300, deadline=None)
+def test_canonical_rows_invariant_under_relabelling(gh):
+    g, h = gh
+    assert canonical_rows(tuple(g.rows), g.n) == canonical_rows(tuple(h.rows), h.n)
