@@ -43,19 +43,19 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             return cells
 
 
+def _twins(rows: tuple[int, ...], u: int, w: int) -> bool:
+    """u and w have the same neighbors outside {u, w}, so swapping them is an
+    automorphism.  Being twins is an equivalence relation."""
+    keep = ~(1 << u | 1 << w)
+    return rows[u] & keep == rows[w] & keep
+
+
 def _twin_representatives(rows: tuple[int, ...], cell: list[int]) -> list[int]:
-    """One representative per twin class: u, w are twins when their rows agree
-    after masking out the pair itself, so swapping them is an automorphism and
-    branching on both can only repeat the same minimum."""
+    """One representative per twin class: branching on two twins can only
+    repeat the same minimum."""
     reps: list[int] = []
     for v in cell:
-        rv = rows[v]
-        bv = 1 << v
-        for r in reps:
-            keep = ~(bv | (1 << r))
-            if rv & keep == rows[r] & keep:
-                break
-        else:
+        if not any(_twins(rows, r, v) for r in reps):
             reps.append(v)
     return reps
 
@@ -70,8 +70,15 @@ def _encode(rows: tuple[int, ...], order: list[int]) -> int:
     return enc
 
 
-def canonical_order_rows(rows: tuple[int, ...], n: int) -> list[int]:
-    """A relabeling (new index -> old vertex) realizing the canonical form."""
+def canonical_order_rows(
+    rows: tuple[int, ...], n: int, first: int | None = None
+) -> list[int]:
+    """A relabeling (new index -> old vertex) realizing the canonical form.
+
+    With ``first`` the search starts from the partition [[first], rest], so
+    the form is canonical for the pair (graph, first) and puts first at index
+    0: two vertices get equal pointed forms iff an automorphism maps one to
+    the other."""
     if n > 16:
         raise DomainError(f"canonical labeling supports n <= 16, got {n}")
     if n == 0:
@@ -94,13 +101,20 @@ def canonical_order_rows(rows: tuple[int, ...], n: int) -> list[int]:
             rest = [w for w in cell if w != v]
             descend(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :]))
 
-    descend(_refine(rows, [list(range(n))]))
+    if first is None or n == 1:
+        cells = [list(range(n))]
+    else:
+        cells = [[first], [v for v in range(n) if v != first]]
+    descend(_refine(rows, cells))
     return best_order
 
 
-def canonical_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Adjacency rows of the canonically labeled graph."""
-    order = canonical_order_rows(rows, n)
+def canonical_rows(
+    rows: tuple[int, ...], n: int, first: int | None = None
+) -> tuple[int, ...]:
+    """Adjacency rows of the canonically labeled graph (pointed at ``first``
+    when given, see canonical_order_rows)."""
+    order = canonical_order_rows(rows, n, first)
     pos = [0] * n
     for new, old in enumerate(order):
         pos[old] = new

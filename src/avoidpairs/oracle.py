@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .canon import _encode, canonical_rows
+from .canon import _encode, _twins, canonical_rows
 from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
@@ -36,34 +36,116 @@ def _edge_count(rows: tuple[int, ...]) -> int:
     return sum(r.bit_count() for r in rows) // 2
 
 
+def _twin_steps(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(u, w) for each vertex w with a twin u < w, u the largest such: masks
+    whose bits on every twin class form a prefix of the class reach every
+    child up to an automorphism of the parent."""
+    steps = []
+    for w in range(len(rows)):
+        u = next((u for u in range(w - 1, -1, -1) if _twins(rows, u, w)), None)
+        if u is not None:
+            steps.append((u, w))
+    return steps
+
+
+def _deletion_key(
+    rows: tuple[int, ...], n: int, deg: list[int]
+) -> tuple[bool, tuple[int, ...]] | None:
+    """None unless vertex n-1 lies in the canonical deletion orbit; otherwise
+    a key that two such graphs share iff they are isomorphic.
+
+    The canonical deletion orbit: among the vertices with the largest
+    (degree, sum of neighbor degrees), the orbit with the least pointed
+    canonical form.  Twins of n-1 share its orbit and are not labelled.  The
+    caller has checked that no degree exceeds deg[n-1].  The key is
+    (False, canonical form) when only twins of n-1 tie with it, and (True,
+    pointed form of n-1) otherwise; which case holds is an isomorphism
+    invariant, so isomorphic graphs get the same kind of key."""
+
+    def score(v: int) -> int:
+        r = rows[v]
+        return sum(deg[u] for u in range(n) if r >> u & 1)
+
+    d, s = deg[n - 1], score(n - 1)
+    tied = []
+    for v in range(n - 1):
+        if deg[v] == d:
+            sv = score(v)
+            if sv > s:
+                return None
+            if sv == s and not _twins(rows, v, n - 1):
+                tied.append(v)
+    if not tied:
+        return False, canonical_rows(rows, n)
+    mine = canonical_rows(rows, n, first=n - 1)
+    if all(mine <= canonical_rows(rows, n, first=v) for v in tied):
+        return True, mine
+    return None
+
+
 @lru_cache(maxsize=None)
 def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
     """Every isomorphism class on n vertices with e_lo <= e <= e_hi edges, as
     canonical rows sorted by the upper-triangle encoding (graph6 order).
 
-    Built by vertex augmentation: each n-class arises from some (n-1)-class
-    by attaching one vertex, so extending every parent with every neighbor
-    mask and deduplicating by canonical form is complete.  A child on k+1
-    vertices is kept only if the window is still reachable from it: at most
-    e_hi edges, and at least e_lo once every edge outside its k+1 vertices is
-    added.  Every induced subgraph of a graph in the window passes both
-    tests, so the pruning loses no class, and on the last vertex the two
-    tests are the window itself.  At n = 1 the window must contain 0.
+    Built by canonical augmentation (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).  Each graph has a canonical
+    deletion orbit (see _deletion_key), defined from the graph alone, so an
+    isomorphism carries it onto the canonical deletion orbit of the image.  A
+    child, parent + new vertex, is kept only if the new vertex lies in that
+    orbit; most children already fail on degree, which the parent's degrees
+    and the mask decide without building the child.
+    - Complete: for G on k+1 vertices and w in its canonical orbit, G - w is
+      isomorphic to one parent P of level k, and the matching mask on P gives
+      a child isomorphic to G whose new vertex is the image of w, so that
+      child is kept.  Permuting the mask within a twin class of P gives an
+      isomorphic child, so prefix masks on twin classes suffice.
+    - Unique up to siblings: if kept children of P and P' are isomorphic, an
+      isomorphism maps one new vertex into the other's orbit, so P and P'
+      are isomorphic, hence equal, as a level holds one graph per class.
+      Kept siblings can still be isomorphic (masks related by an
+      automorphism of P), so they are deduplicated per parent, by key.
+    A child on k+1 vertices is kept only if the window is still reachable
+    from it: at most e_hi edges, and at least e_lo once every edge outside
+    its k+1 vertices is added.  The chain of canonical deletions from a graph
+    in the window consists of induced subgraphs of it, which pass both
+    tests, so the pruning loses no class; on the last vertex the two tests
+    are the window itself.  At n = 1 the window must contain 0.
     """
     if n < 1:
         raise DomainError(f"enumeration needs n >= 1, got {n}")
     total = binom2(n)
-    level: set[tuple[int, ...]] = {(0,)}
+    level: list[tuple[int, ...]] = [(0,)]
     for k in range(1, n):
         cap_after = total - binom2(k + 1)  # edges still addable beyond k+1 vertices
-        nxt: set[tuple[int, ...]] = set()
+        nxt: list[tuple[int, ...]] = []
         for parent in level:
-            e_parent = _edge_count(parent)
+            deg = [r.bit_count() for r in parent]
+            e_parent = sum(deg) // 2
+            steps = _twin_steps(parent)
+            children: dict[tuple[bool, tuple[int, ...]], tuple[int, ...]] = {}
+            # the new vertex takes the largest degree d = |mask|, so
+            # d >= top and the parent's vertices of degree top stay out of
+            # the mask when d = top
+            top = max(deg)
+            tops = sum(1 << v for v in range(k) if deg[v] == top)
+            d_lo = max(top, e_lo - cap_after - e_parent)
+            d_hi = e_hi - e_parent
             for mask in range(1 << k):
-                e_child = e_parent + mask.bit_count()
-                if e_child > e_hi or e_child + cap_after < e_lo:
+                d = mask.bit_count()
+                if (not d_lo <= d <= d_hi or d == top and mask & tops
+                        or any(mask >> w & 1 > mask >> u & 1 for u, w in steps)):
                     continue
-                nxt.add(canonical_rows(_extend(parent, mask), k + 1))
+                child = _extend(parent, mask)
+                child_deg = [deg[v] + (mask >> v & 1) for v in range(k)] + [d]
+                key = _deletion_key(child, k + 1, child_deg)
+                if key is not None:
+                    children.setdefault(key, child)
+            if k + 1 < n:  # any labelling of a class serves as a parent
+                nxt.extend(form for _, form in children)
+            else:
+                nxt.extend(canonical_rows(child, n) if pointed else form
+                           for (pointed, form), child in children.items())
         level = nxt
     identity = list(range(n))
     return tuple(sorted(level, key=lambda rs: _encode(rs, identity)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from avoidpairs.canon import canonical_rows
+from avoidpairs.canon import _encode, canonical_rows
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
 
@@ -74,3 +74,25 @@ def labeled_class_counts(n: int) -> dict[int, int]:
         e = sum(r.bit_count() for r in rows) // 2
         seen.setdefault(e, set()).add(canonical_rows(tuple(rows), n))
     return {e: len(forms) for e, forms in sorted(seen.items())}
+
+
+def classes_by_set_dedup(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
+    """Reference for oracle._all_classes: extend every class on k vertices by
+    every neighbor mask, label every child canonically and deduplicate in one
+    set per level.  Children that can no longer reach the edge window are
+    dropped, as there.  Canonical rows in graph6 order."""
+    total = binom2(n)
+    level = {(0,)}
+    for k in range(1, n):
+        cap_after = total - binom2(k + 1)
+        nxt = set()
+        for parent in level:
+            e_parent = sum(r.bit_count() for r in parent) // 2
+            for mask in range(1 << k):
+                e_child = e_parent + mask.bit_count()
+                if e_child > e_hi or e_child + cap_after < e_lo:
+                    continue
+                child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(parent)) + (mask,)
+                nxt.add(canonical_rows(child, k + 1))
+        level = nxt
+    return tuple(sorted(level, key=lambda rows: _encode(rows, list(range(n)))))

@@ -1,7 +1,9 @@
 """Golden stdout: each command's stdout must hash to the value recorded from
 the implementation before the thread layer and the bisection verdict were
-removed; the last three oracle hashes were recorded before the two class
-enumerators were merged.  A refactor that changes a byte of output fails here.
+removed; the next three oracle hashes were recorded before the two class
+enumerators were merged, and the last two before canonical augmentation
+replaced the set-deduplicating class builder.  A refactor that changes a byte
+of output fails here.
 
 Regenerate a hash only for a deliberate output change, by running the argv
 through ``avoidpairs.cli.main`` and taking the sha256 of stdout.
@@ -83,6 +85,10 @@ GOLDEN = [
      'e495bdc5304e1b6aa9dbac53de24fb666443bb4e80e4dd5352874e615b6353ae'),
     (['oracle', 'sn', '--n', '7', '--m', '4', '--f', '3'], 0,
      '5c504e8a1fadc8079c0f0da9359b80cf8c40f52d022c0bfc8ad8b124dedafb8b'),
+    (['oracle', 'sn', '--n', '7', '--m', '5', '--f', '5'], 0,
+     'ec29de602177239505760cdede1e6bbe8b164eae37380f5f61e43a3e8482a3dd'),
+    (['oracle', 'arrows', '--n', '8', '--e', '14', '--m', '4', '--f', '3'], 0,
+     'ffe4da68f2bfd2c30e7e18b3f8a4c5a963cff8078df4ccc63c1458cca5a623eb'),
 ]
 
 

@@ -17,7 +17,7 @@ from avoidpairs.oracle import (
     enumerate_graphs,
     induced_size_set,
 )
-from helpers import labeled_class_counts
+from helpers import classes_by_set_dedup, labeled_class_counts
 
 KNOWN_TOTALS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -55,6 +55,21 @@ def test_windowed_enumeration_agrees_with_full_cache():
         full = _all_classes(n, 0, binom2(n))
         bucket = [rows for rows in full if sum(r.bit_count() for r in rows) == 2 * e]
         assert list(_all_classes(n, e, e)) == bucket
+
+
+def test_canonical_augmentation_matches_set_dedup_reference():
+    # every window at n <= 6, against the edge-count filter of the
+    # reference's full level (one windowed reference build per window would
+    # cost 6 s); every single edge count and the full level at n = 7
+    for n in range(1, 7):
+        full = classes_by_set_dedup(n, 0, binom2(n))
+        edges = [sum(r.bit_count() for r in rows) // 2 for rows in full]
+        for lo in range(binom2(n) + 1):
+            for hi in range(lo, binom2(n) + 1):
+                want = tuple(rows for rows, e in zip(full, edges) if lo <= e <= hi)
+                assert _all_classes(n, lo, hi) == want, (n, lo, hi)
+    for lo, hi in [(e, e) for e in range(binom2(7) + 1)] + [(0, binom2(7))]:
+        assert _all_classes(7, lo, hi) == classes_by_set_dedup(7, lo, hi), (lo, hi)
 
 
 def test_labeled_recount_matches_augmentation():

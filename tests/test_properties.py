@@ -1,7 +1,8 @@
 """Property tests: the floor decision against the linear reference, the
-graph6 round trip, and canonical labelling under relabelling, over inputs
-drawn by hypothesis."""
+graph6 round trip, and canonical labelling (plain and pointed) under
+relabelling, over inputs drawn by hypothesis."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -59,3 +60,36 @@ def relabelled_graphs(draw, max_n=8):
 def test_canonical_rows_invariant_under_relabelling(gh):
     g, h = gh
     assert canonical_rows(tuple(g.rows), g.n) == canonical_rows(tuple(h.rows), h.n)
+
+
+@st.composite
+def pointed_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph.from_edges(n, (uv for i, uv in enumerate(pairs) if mask >> i & 1))
+    return g, draw(st.integers(0, n - 1)), draw(st.permutations(range(n)))
+
+
+@given(pointed_graphs())
+@settings(max_examples=300, deadline=None)
+def test_pointed_form_invariant_under_relabelling(gvp):
+    g, v, perm = gvp
+    h = Graph.from_edges(g.n, ((perm[a], perm[b]) for a, b in g.edges()))
+    assert (canonical_rows(tuple(g.rows), g.n, first=v)
+            == canonical_rows(tuple(h.rows), h.n, first=perm[v]))
+
+
+@given(pointed_graphs(max_n=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pointed_forms_are_equal_exactly_on_orbits(gvp, data):
+    g, v, _ = gvp
+    w = data.draw(st.integers(0, g.n - 1))
+    rows = tuple(g.rows)
+    edges = set(g.edges())
+    same_orbit = any(
+        p[v] == w and {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
+        for p in itertools.permutations(range(g.n))
+    )
+    equal = canonical_rows(rows, g.n, first=v) == canonical_rows(rows, g.n, first=w)
+    assert equal == same_orbit
