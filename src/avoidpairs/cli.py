@@ -8,7 +8,7 @@ JSON lines are the canonical output (sorted keys, compact separators, so a
 parse/re-emit round trip is byte-identical); --csv, where offered, is a fixed
 projection.  All commands are deterministic.  Exit codes: 0 ok, 2 usage or
 domain error, 3 guard refusal, 4 assertion or cross-check failure,
-5 infeasible witness build.
+5 infeasible witness build, 141 stdout closed early by its reader.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -31,19 +32,19 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_ASSERTION = 4
 EXIT_INFEASIBLE = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for `seq ... | head`
 
 EPILOG = (
     "exit codes: 0 ok; 2 usage/domain error; 3 size-guard refusal; "
-    "4 assertion or cross-check failure; 5 infeasible witness build."
+    "4 assertion or cross-check failure; 5 infeasible witness build; "
+    "141 stdout closed early by its reader."
 )
 
-
-def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+dump_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def emit(obj, out=None) -> None:
-    print(dump_json(obj), file=out or sys.stdout)
+    (out or sys.stdout).write(dump_json(obj) + "\n")
 
 
 def _frac_record(frac: FixedPointFrac) -> dict:
@@ -146,15 +147,11 @@ def cmd_criterion_cert(args) -> int:
 
 
 def cmd_criterion_scan_t4(args) -> int:
-    try:
-        records = criterion.scan_offset_disjunction(
-            args.from_m, args.to_m, assert_all=args.assert_all
-        )
-    except ScanAssertionError as exc:
-        for rec in exc.failures:
-            emit(rec, out=sys.stderr)
-        emit({"error": str(exc), "kind": "assertion"}, out=sys.stderr)
-        return EXIT_ASSERTION
+    # Records stream as they are made; a failed --assert raises only after the
+    # last one, and main writes the failures and the error line to stderr.
+    records = criterion.scan_offset_disjunction(
+        args.from_m, args.to_m, assert_all=args.assert_all
+    )
     if args.csv:
         _write_criterion_csv(
             (rec["m"], k * rec["m"])
@@ -501,8 +498,17 @@ def main(argv: list[str] | None = None) -> int:
         emit({"error": str(exc), "kind": "guard"}, out=sys.stderr)
         return EXIT_GUARD
     except ScanAssertionError as exc:
+        for rec in exc.failures:
+            emit(rec, out=sys.stderr)
         emit({"error": str(exc), "kind": "assertion"}, out=sys.stderr)
         return EXIT_ASSERTION
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head`).  Point fd 1 at the null
+        # device so the flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .errors import DomainError, ScanAssertionError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, binom2, frac_sqrt_half, surd_floor
@@ -104,6 +104,11 @@ def _in_envelope(m: int, q: int) -> bool:
     return m >= 5 and (m - 5) ** 2 >= 4 * abs(q)
 
 
+def radicand_dy(m: int, q: int) -> int:
+    """Dy = 2m^2 - 10m - 8q + 9, unchecked: callers apply their own domain."""
+    return 2 * m * m - 10 * m - 8 * q + 9
+
+
 def radicands(m: int, q: int) -> tuple[int, int]:
     """(Dy, Dz) = (2m^2-10m-8q+9, 2m^2-2m-8q+1) for the (m, q)
     parametrization, f = m(m-1)/4 - q; refused outside the envelope."""
@@ -114,7 +119,8 @@ def radicands(m: int, q: int) -> tuple[int, int]:
             f"criterion needs (m-5)^2 >= 4*|q| (i.e. m >= 5 + 2*sqrt(|q|)); "
             f"got m={m}, q={q}"
         )
-    return 2 * m * m - 10 * m - 8 * q + 9, 2 * m * m - 2 * m - 8 * q + 1
+    dy = radicand_dy(m, q)
+    return dy, dy + 8 * (m - 1)
 
 
 def lr_floors(dy: int, dz: int) -> tuple[int, int]:
@@ -247,85 +253,83 @@ QSpec = Callable[[int], int]
 
 
 # ---------------------------------------------------------------------------
-# Scanners.  Each returns a list of plain dict records (JSON-ready) in m order.
+# Scanners.  Each is a generator of plain dict records (JSON-ready) in m
+# order, so a caller can write each record as soon as it is made.
 
 
-def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> list[dict]:
+def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> Iterator[dict]:
     """For each m = 0, 1 (mod 4) in range, report whether the center inequality
     L_0 > R_0 holds, or both offset inequalities at q = +/-6m hold.
 
-    In assertion mode every m must satisfy one of the two branches; a violation
-    raises ScanAssertionError listing the failing m values.
+    In assertion mode every m must satisfy one of the two branches; once the
+    range is exhausted, a violation raises ScanAssertionError listing the
+    failing records (all records, failing ones included, are yielded first).
     """
-    records = []
+    bad = []
     for m in range(m_lo, m_hi + 1):
         if m % 4 not in (0, 1) or m < 5:
             continue
-        l0, r0 = lr_values(m, 0)
+        dy, dz = radicands(m, 0)
+        l0, r0 = lr_floors(dy, dz)
         center = l0 > r0
         if _in_envelope(m, 6 * m):
-            l6, r6 = lr_values(m, 6 * m)
-            lm6, rm6 = lr_values(m, -6 * m)
+            # q = +/-6m moves both radicands by -/+48m
+            l6, r6 = lr_floors(dy - 48 * m, dz - 48 * m)
+            lm6, rm6 = lr_floors(dy + 48 * m, dz + 48 * m)
             offset = l6 > r6 and lm6 > rm6
         else:
             l6 = r6 = lm6 = rm6 = None
             offset = None
         which = "center" if center else ("offset6m" if offset else "none")
-        records.append(
-            {
-                "m": m,
-                "which": which,
-                "L0": l0,
-                "R0": r0,
-                "L6m": l6,
-                "R6m": r6,
-                "Lneg6m": lm6,
-                "Rneg6m": rm6,
-            }
+        rec = {
+            "m": m,
+            "which": which,
+            "L0": l0,
+            "R0": r0,
+            "L6m": l6,
+            "R6m": r6,
+            "Lneg6m": lm6,
+            "Rneg6m": rm6,
+        }
+        if assert_all and which == "none":
+            bad.append(rec)
+        yield rec
+    if bad:
+        raise ScanAssertionError(
+            f"{len(bad)} m values satisfy neither branch "
+            f"(first: m={bad[0]['m']})",
+            bad,
         )
-    if assert_all:
-        bad = [rec for rec in records if rec["which"] == "none"]
-        if bad:
-            raise ScanAssertionError(
-                f"{len(bad)} m values satisfy neither branch "
-                f"(first: m={bad[0]['m']})",
-                bad,
-            )
-    return records
 
 
-def scan_affine_q(q_of_m: QSpec, m_lo: int, m_hi: int) -> list[dict]:
+def scan_affine_q(q_of_m: QSpec, m_lo: int, m_hi: int) -> Iterator[dict]:
     """Scan m in range for pairs (m, m(m-1)/4 - q(m)) whose both-sign floor
     inequalities hold; every "hit" admits an avoidability certificate.
 
     m = 2, 3 (mod 4) are recorded as skipped (the target size is then not an
     integer), as are m below the envelope for |q(m)|.
     """
-    records = []
     for m in range(m_lo, m_hi + 1):
         if m % 4 in (2, 3):
-            records.append({"m": m, "status": "skipped-nonintegral-f"})
+            yield {"m": m, "status": "skipped-nonintegral-f"}
             continue
         q = q_of_m(m)
         if not _in_envelope(m, q):
-            records.append({"m": m, "status": "skipped-envelope", "q": q})
+            yield {"m": m, "status": "skipped-envelope", "q": q}
             continue
         lp, rp = lr_values(m, q)
         ln, rn = lr_values(m, -q)
         hit = lp > rp and ln > rn
-        records.append(
-            {
-                "m": m,
-                "status": "hit" if hit else "miss",
-                "q": q,
-                "f": binom2(m) // 2 - q,
-                "L_pos": lp,
-                "R_pos": rp,
-                "L_neg": ln,
-                "R_neg": rn,
-            }
-        )
-    return records
+        yield {
+            "m": m,
+            "status": "hit" if hit else "miss",
+            "q": q,
+            "f": binom2(m) // 2 - q,
+            "L_pos": lp,
+            "R_pos": rp,
+            "L_neg": ln,
+            "R_neg": rn,
+        }
 
 
 def cert_record(f: int, outcome: AvoidabilityCert | CertRejection) -> dict:
@@ -390,13 +394,12 @@ def _realizability_record(pair: PairMF) -> dict:
     return {"f": pair.f, "realizable": False, "L": cert.L, "R": cert.R}
 
 
-def scan_mod23(m_lo: int, m_hi: int) -> list[dict]:
+def scan_mod23(m_lo: int, m_hi: int) -> Iterator[dict]:
     """Exploration-only analogue of the mod-4 = 0, 1 scan for m = 2, 3 (mod 4),
     using f = floor(m(m-1)/4) and its complement, decided by the floors.
 
     No assertion mode: correctness of a persistent pattern here is not claimed.
     """
-    records = []
     for m in range(m_lo, m_hi + 1):
         if m % 4 not in (2, 3) or m < 2:
             continue
@@ -425,8 +428,7 @@ def scan_mod23(m_lo: int, m_hi: int) -> list[dict]:
             rec["f_offset"] = None
             rec["offset"] = None
             rec["offset_avoidable"] = None
-        records.append(rec)
-    return records
+        yield rec
 
 
 # ---------------------------------------------------------------------------

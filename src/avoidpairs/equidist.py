@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .criterion import radicand_dy
 from .errors import DomainError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, frac_sqrt_half
 from .pell import generate_M
@@ -30,7 +31,7 @@ class EquidistReport:
 
 def frac_y(m: int, q: int, fracbits: int = DEFAULT_FRACBITS) -> FixedPointFrac:
     """Fractional part of sqrt(2m^2 - 10m - 8q + 9)/2 at fracbits precision."""
-    dy = 2 * m * m - 10 * m - 8 * q + 9
+    dy = radicand_dy(m, q)
     if dy < 0:
         raise DomainError(f"negative radicand at m={m}, q={q}; m below the envelope")
     return frac_sqrt_half(dy, fracbits)
@@ -42,7 +43,7 @@ def _first_valid_m(q: int, stride: int) -> int:
     m = 1
     while True:
         v = stride * m
-        if v >= 3 and 2 * v * v - 10 * v - 8 * q + 9 >= 0:
+        if v >= 3 and radicand_dy(v, q) >= 0:
             return m
         m += 1
 

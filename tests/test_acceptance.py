@@ -88,7 +88,7 @@ def test_criterion_2_arithmetic_on_first_ten_M():
 
 def test_criterion_3_offset_disjunction_scan():
     t0 = time.perf_counter()
-    records = scan_offset_disjunction(740, 100_000, assert_all=True)
+    records = list(scan_offset_disjunction(740, 100_000, assert_all=True))
     failures = [rec for rec in records if rec["which"] == "none"]
     elapsed = time.perf_counter() - t0
     _report(3, "center-or-offset disjunction on [740, 1e5]",
@@ -209,8 +209,8 @@ def test_criterion_9_determinism_and_parallel_equivalence():
     import json as _json
 
     t0 = time.perf_counter()
-    serial = scan_offset_disjunction(740, 5000)
-    repeat = scan_offset_disjunction(740, 5000)
+    serial = list(scan_offset_disjunction(740, 5000))
+    repeat = list(scan_offset_disjunction(740, 5000))
     scans_ok = _json.dumps(serial) == _json.dumps(repeat)
     oracle_ok = compute_S_n(7, PairMF(4, 3)) == compute_S_n(7, PairMF(4, 3))
     xs = xcheck_lr_equivalence(5, 500)

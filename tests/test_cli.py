@@ -1,10 +1,23 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from avoidpairs.cli import EXIT_ASSERTION, EXIT_GUARD, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+import avoidpairs
+from avoidpairs.cli import (
+    EXIT_ASSERTION,
+    EXIT_BROKEN_PIPE,
+    EXIT_GUARD,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +73,36 @@ def test_scan_t4_assert_exit_codes(capsys):
     code, _, err = run_cli(capsys, "criterion", "scan-t4", "--from", "13", "--to", "13", "--assert")
     assert code == EXIT_ASSERTION
     assert "assertion" in err
+
+
+def test_scan_t4_assert_failure_streams_records_then_reports(capsys):
+    code, out, err = run_cli(capsys, "criterion", "scan-t4", "--from", "5", "--to", "20", "--assert")
+    assert code == EXIT_ASSERTION
+    streamed = json_lines(out)
+    assert [rec["m"] for rec in streamed] == [m for m in range(5, 21) if m % 4 in (0, 1)]
+    *failures, error = json_lines(err)
+    assert failures == [rec for rec in streamed if rec["which"] == "none"] and failures
+    assert error["kind"] == "assertion"
+
+    code, out, err = run_cli(
+        capsys, "criterion", "scan-t4", "--from", "5", "--to", "20", "--assert", "--csv")
+    assert code == EXIT_ASSERTION
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [str(rec["m"]) for rec in streamed]
+    assert json_lines(err) == [*failures, error]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    src = pathlib.Path(avoidpairs.__file__).resolve().parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-m", "avoidpairs.cli", "criterion", "scan-t4",
+         "--from", "740", "--to", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["m"] == 740
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert proc.stderr.read() == b""
 
 
 def test_scan_t2(capsys):

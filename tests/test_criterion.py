@@ -1,5 +1,6 @@
 """Floor criterion, realizability search, certificates, and scanners."""
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -139,14 +140,43 @@ def test_scan_offset_disjunction_exploration():
 
 
 def test_scan_offset_disjunction_assert_mode():
-    recs = scan_offset_disjunction(740, 2000, assert_all=True)
+    recs = list(scan_offset_disjunction(740, 2000, assert_all=True))
     assert all(rec["which"] != "none" for rec in recs)
     with pytest.raises(ScanAssertionError):
-        scan_offset_disjunction(13, 13, assert_all=True)
+        list(scan_offset_disjunction(13, 13, assert_all=True))
+
+
+def _offset_record_from_lr_values(m):
+    # the scanner's record rebuilt with one lr_values call per q, the
+    # reference for its shared radicand pair shifted by -/+48m
+    l0, r0 = lr_values(m, 0)
+    l6 = r6 = lm6 = rm6 = offset = None
+    if (m - 5) ** 2 >= 24 * m:
+        (l6, r6), (lm6, rm6) = lr_values(m, 6 * m), lr_values(m, -6 * m)
+        offset = l6 > r6 and lm6 > rm6
+    which = "center" if l0 > r0 else ("offset6m" if offset else "none")
+    return {"m": m, "which": which, "L0": l0, "R0": r0, "L6m": l6, "R6m": r6,
+            "Lneg6m": lm6, "Rneg6m": rm6}
+
+
+def test_scanners_are_generators_in_m_order():
+    scans = [
+        (lambda lo, hi: scan_offset_disjunction(lo, hi), 5, 400),
+        (lambda lo, hi: scan_affine_q(AffineQ(Fraction(1, 3), Fraction(2)), lo, hi), 5, 400),
+        (scan_mod23, 2, 400),
+    ]
+    for scan, lo, hi in scans:
+        records = scan(lo, hi)
+        assert isinstance(records, Iterator) and not isinstance(records, list)
+        assert list(records) == [rec for m in range(lo, hi + 1) for rec in scan(m, m)]
+    expected = [_offset_record_from_lr_values(m)
+                for m in range(5, 401) if m % 4 in (0, 1)]
+    assert list(scan_offset_disjunction(5, 400)) == expected
+    assert any(rec["L6m"] is not None for rec in expected)
 
 
 def test_first_persistent_m_is_an_observation():
-    recs = scan_offset_disjunction(5, 900)
+    recs = list(scan_offset_disjunction(5, 900))
     boundary = first_persistent_m(recs)
     assert boundary is not None
     tail = [rec for rec in recs if rec["m"] >= boundary]
@@ -155,7 +185,7 @@ def test_first_persistent_m_is_an_observation():
 
 
 def test_scan_affine_q_zero_q_contains_M_prefix():
-    recs = scan_affine_q(AffineQ(Fraction(0), Fraction(0)), 5, 2000)
+    recs = list(scan_affine_q(AffineQ(Fraction(0), Fraction(0)), 5, 2000))
     hits = scan_hits(recs)
     assert {40, 221, 1276} <= set(hits)
     skipped = [rec for rec in recs if rec["status"] == "skipped-nonintegral-f"]
@@ -183,10 +213,10 @@ def test_scan_affine_q_linear_q_finds_instances():
 
 
 def test_table_q_spec():
-    recs = scan_affine_q(TableQ({40: 0}), 40, 40)
+    recs = list(scan_affine_q(TableQ({40: 0}), 40, 40))
     assert recs[0]["status"] == "hit"
     with pytest.raises(DomainError):
-        scan_affine_q(TableQ({}), 40, 40)
+        list(scan_affine_q(TableQ({}), 40, 40))
 
 
 def test_scan_interval_m40():
@@ -207,20 +237,20 @@ def test_scan_interval_m4_and_empty():
 
 
 def test_scan_mod23_examples():
-    rec = scan_mod23(42, 42)[0]
+    rec = list(scan_mod23(42, 42))[0]
     assert rec["f_center"] == 430
     assert [r["f"] for r in rec["center"]] == [430, 431]
     assert rec["center_avoidable"] is True
     assert all(not r["realizable"] for r in rec["center"])
 
-    rec6 = scan_mod23(6, 6)[0]
+    rec6 = list(scan_mod23(6, 6))[0]
     assert [r["f"] for r in rec6["center"]] == [7, 8]
     # (6,7) = K_4 plus an edge; (6,8) fits no clique size
     assert [r["realizable"] for r in rec6["center"]] == [True, False]
     assert rec6["center_avoidable"] is False
     assert rec6["offset_avoidable"] is None  # f - 6m below zero at m = 6
 
-    rec43 = scan_mod23(43, 43)[0]
+    rec43 = list(scan_mod23(43, 43))[0]
     assert rec43["f_center"] == binom2(43) // 2
 
 

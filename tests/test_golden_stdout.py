@@ -1,8 +1,9 @@
 """Golden stdout: each command's stdout must hash to the value recorded from
 the implementation before the thread layer and the bisection verdict were
 removed; the next three oracle hashes were recorded before the two class
-enumerators were merged, and the last two before canonical augmentation
-replaced the set-deduplicating class builder.  A refactor that changes a byte
+enumerators were merged, the next two before canonical augmentation
+replaced the set-deduplicating class builder, and the last two before the
+range scanners became generators.  A refactor that changes a byte
 of output fails here.
 
 Regenerate a hash only for a deliberate output change, by running the argv
@@ -89,6 +90,10 @@ GOLDEN = [
      'ec29de602177239505760cdede1e6bbe8b164eae37380f5f61e43a3e8482a3dd'),
     (['oracle', 'arrows', '--n', '8', '--e', '14', '--m', '4', '--f', '3'], 0,
      'ffe4da68f2bfd2c30e7e18b3f8a4c5a963cff8078df4ccc63c1458cca5a623eb'),
+    (['criterion', 'scan-t4', '--from', '50000', '--to', '150000'], 0,
+     '9c0712ab6eabdc86bc42233442b3823c4a35cc303b4d0b4d31ef3d641fa00d5a'),
+    (['criterion', 'scan-t2', '--alpha', '1', '--beta', '0', '--from', '100', '--to', '20000'], 0,
+     '15471f8ade458d37b7b9b2131a6c50e68d566188f4091f5e6f85906f224efdd2'),
 ]
 
 

@@ -1,6 +1,7 @@
-"""Property tests: the floor decision against the linear reference, the
-graph6 round trip, and canonical labelling (plain and pointed) under
-relabelling, over inputs drawn by hypothesis."""
+"""Property tests: the surd floor against integer bisection, the floor
+decision against the linear reference, the graph6 round trip, and canonical
+labelling (plain and pointed) under relabelling, over inputs drawn by
+hypothesis."""
 
 import itertools
 import random
@@ -10,9 +11,37 @@ from hypothesis import strategies as st
 
 from avoidpairs.canon import canonical_rows
 from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
-from avoidpairs.exactarith import binom2
+from avoidpairs.exactarith import binom2, surd_floor
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
 from helpers import smallest_clique_size_linear
+
+
+def surd_floor_bisection(c, d):
+    """Largest k with 2k - c <= 0 or (2k - c)**2 <= d, by integer bisection."""
+    def holds(k):
+        return 2 * k - c <= 0 or (2 * k - c) ** 2 <= d
+
+    lo, hi = c // 2, c // 2 + d + 1  # holds(lo); not holds(hi): 2hi - c > 2d >= sqrt(d)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# plain radicands, and squares with their neighbours, where a floor changes
+surd_radicands = st.one_of(
+    st.integers(0, 2**200 - 1),
+    st.builds(lambda s, off: max(0, s * s + off), st.integers(0, 2**100 - 1), st.integers(-1, 1)),
+)
+
+
+@given(st.integers(-50, 50), surd_radicands)
+@settings(max_examples=500, deadline=None)
+def test_surd_floor_matches_bisection(c, d):
+    assert surd_floor(c, d) == surd_floor_bisection(c, d)
 
 
 @st.composite
