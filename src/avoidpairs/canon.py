@@ -6,14 +6,12 @@ discrete partitions the search reaches.  Collapsing twin vertices (equal
 neighborhoods outside the pair) keeps high-symmetry graphs such as empty
 graphs, cliques, and unions of cliques from exploding the branch count.
 
-The hot-path entry points work on bare adjacency-row tuples; Graph wrappers
-sit on top.
+The entry points work on bare adjacency-row tuples.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .graphs import Graph
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -127,16 +125,3 @@ def canonical_rows(
             out[nu] |= 1 << pos[b.bit_length() - 1]
             r ^= b
     return tuple(out)
-
-
-def canonical_order(g: Graph) -> list[int]:
-    return canonical_order_rows(tuple(g.rows), g.n)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, list(canonical_rows(tuple(g.rows), g.n)))
-
-
-def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Hashable isomorphism invariant: (n, canonical adjacency rows)."""
-    return (g.n, canonical_rows(tuple(g.rows), g.n))

@@ -8,24 +8,48 @@ JSON lines are the canonical output (sorted keys, compact separators, so a
 parse/re-emit round trip is byte-identical); --csv, where offered, is a fixed
 projection.  All commands are deterministic.  Exit codes: 0 ok, 2 usage or
 domain error, 3 guard refusal, 4 assertion or cross-check failure,
-5 infeasible witness build, 141 stdout closed early by its reader.
+5 infeasible witness build, 141 stdout closed early by its reader.  Every
+non-zero exit but 141 ends stderr with one {"error", "kind"} JSON line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
+import importlib.util
 import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import bipartite, criterion, equidist, oracle, pell, witness
 from .errors import DomainError, GuardError, ScanAssertionError
-from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, binom2
 from .graphs import from_graph6, girth, induced_subgraph, to_graph6
+
+
+def _lazy(name: str):
+    """The submodule avoidpairs.<name>, bound in sys.modules and on the
+    package now, as an import would, but executed on its first attribute
+    access (importlib.util.LazyLoader).  A call runs only the modules its
+    subcommand uses, and code that looks modules up in sys.modules after
+    importing this one (perfbench/tracer.py) still finds them all."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+bipartite = _lazy("bipartite")
+criterion = _lazy("criterion")
+equidist = _lazy("equidist")
+exactarith = _lazy("exactarith")
+oracle = _lazy("oracle")
+pell = _lazy("pell")
+witness = _lazy("witness")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,7 +61,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for `seq ... | head`
 EPILOG = (
     "exit codes: 0 ok; 2 usage/domain error; 3 size-guard refusal; "
     "4 assertion or cross-check failure; 5 infeasible witness build; "
-    "141 stdout closed early by its reader."
+    "141 stdout closed early by its reader.  Every non-zero exit but 141 ends "
+    'stderr with one JSON line {"error": ..., "kind": ...}, kind one of usage, '
+    "domain, guard, assertion or infeasible."
 )
 
 dump_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -47,7 +73,7 @@ def emit(obj, out=None) -> None:
     (out or sys.stdout).write(dump_json(obj) + "\n")
 
 
-def _frac_record(frac: FixedPointFrac) -> dict:
+def _frac_record(frac: exactarith.FixedPointFrac) -> dict:
     return {"value": frac.value, "fracbits": frac.fracbits, "approx": float(frac)}
 
 
@@ -58,9 +84,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> fractions.Fraction:
+    import fractions
     try:
-        return Fraction(text)
+        return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"expected a rational like 3/40, got {text!r}") from None
 
@@ -91,6 +118,7 @@ def _parse_vertices(text: str, n: int) -> frozenset[int]:
 
 
 def cmd_pell(args) -> int:
+    import dataclasses
     states = pell.pell_states() if args.raw else pell.m_states()
     for state in itertools.islice(states, args.count):
         emit({**dataclasses.asdict(state), "m": state.m,
@@ -114,6 +142,7 @@ def _criterion_row(m: int, q: int) -> dict:
 
 
 def _csv_writer():
+    import csv
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
@@ -215,9 +244,11 @@ def _witness_record(w: witness.WitnessGraph) -> dict:
 
 
 def cmd_witness_build(args) -> int:
+    import dataclasses
     built = witness.build_witness_or_complement(args.n, args.e, args.p)
     if isinstance(built, witness.Infeasible):
         emit({"infeasible": True, **dataclasses.asdict(built)})
+        emit({"error": built.reason, "kind": "infeasible"}, out=sys.stderr)
         return EXIT_INFEASIBLE
     record = _witness_record(built)
     if args.pair is not None:
@@ -236,6 +267,7 @@ def cmd_witness_build(args) -> int:
 
 
 def cmd_witness_verify(args) -> int:
+    import dataclasses
     try:
         with open(args.graph6) as fh:
             text = fh.read()
@@ -268,8 +300,10 @@ def cmd_witness_verify(args) -> int:
 
 
 def cmd_oracle_arrows(args) -> int:
+    import dataclasses
     pair = criterion.PairMF(args.m, args.f)
-    verdict = oracle.arrows_pair(args.n, args.e, pair, query_guard=args.query_guard)
+    guard = oracle.DEFAULT_QUERY_GUARD if args.query_guard is None else args.query_guard
+    verdict = oracle.arrows_pair(args.n, args.e, pair, query_guard=guard)
     g = verdict.counterexample
     emit({"n": verdict.n, "e": verdict.e, "pair": dataclasses.asdict(pair),
           "arrows": verdict.arrows, "counterexample": to_graph6(g) if g else None})
@@ -277,13 +311,14 @@ def cmd_oracle_arrows(args) -> int:
 
 
 def cmd_oracle_sn(args) -> int:
+    import dataclasses
     pair = criterion.PairMF(args.m, args.f)
     report = oracle.compute_S_n(args.n, pair)
     if args.csv:
         w = _csv_writer()
         w.writerow(["e", "arrows", "counterexample"])
         in_s = set(report.S)
-        for e in range(binom2(args.n) + 1):
+        for e in range(exactarith.binom2(args.n) + 1):
             w.writerow([e, e in in_s, "" if e in in_s else report.counterexamples[e]])
         return EXIT_OK
     emit(
@@ -302,7 +337,7 @@ def cmd_oracle_xcheck_cf(args) -> int:
     mismatches = []
     checked = 0
     for m in range(1, args.max_m + 1):
-        for f in range(binom2(m) + 1):
+        for f in range(exactarith.binom2(m) + 1):
             pair = criterion.PairMF(m, f)
             search = isinstance(criterion.clique_forest_realizable(pair), criterion.Realizable)
             brute = oracle.clique_forest_oracle(pair)
@@ -310,7 +345,9 @@ def cmd_oracle_xcheck_cf(args) -> int:
             if search != brute:
                 mismatches.append({"m": m, "f": f, "search": search, "oracle": brute})
     emit({"max_m": args.max_m, "pairs_checked": checked, "mismatches": mismatches})
-    return EXIT_OK if not mismatches else EXIT_ASSERTION
+    if mismatches:
+        raise ScanAssertionError(f"{len(mismatches)} clique+forest mismatches", mismatches)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +355,7 @@ def cmd_oracle_xcheck_cf(args) -> int:
 
 
 def cmd_bipartite_realize(args) -> int:
+    import dataclasses
     pair = bipartite.BipartitePair(args.m, args.f)
     complemented = False
     target = pair
@@ -350,6 +388,7 @@ def cmd_bipartite_realize(args) -> int:
 
 
 def cmd_diag_equidist(args) -> int:
+    import dataclasses
     report = equidist.diag_equidist(
         args.q,
         args.n,
@@ -365,9 +404,18 @@ def cmd_diag_equidist(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become one JSON line on stderr and exit 2; subparsers
+    are made by the same class, so they inherit it."""
+
+    def error(self, message: str):
+        emit({"error": f"{self.prog}: {message}", "kind": "usage"}, out=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="avoidpairs", epilog=EPILOG)
-    top.add_argument("--fracbits", type=int, default=DEFAULT_FRACBITS,
+    top = _Parser(prog="avoidpairs", epilog=EPILOG)
+    top.add_argument("--fracbits", type=int, default=None,
                      help="fixed-point precision for diagnostics (32..1024)")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -445,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     oa.add_argument("--e", type=int, required=True)
     oa.add_argument("--m", type=int, required=True)
     oa.add_argument("--f", type=int, required=True)
-    oa.add_argument("--query-guard", dest="query_guard", type=_positive_int,
-                    default=oracle.DEFAULT_QUERY_GUARD)
+    oa.add_argument("--query-guard", dest="query_guard", type=_positive_int)
     oa.set_defaults(handler=cmd_oracle_arrows)
 
     on = osub.add_parser("sn")
@@ -488,7 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 32 <= args.fracbits <= 1024:
+        if args.fracbits is None:
+            args.fracbits = exactarith.DEFAULT_FRACBITS
+        elif not 32 <= args.fracbits <= 1024:
             raise DomainError(f"fracbits must be in [32, 1024], got {args.fracbits}")
         return args.handler(args)
     except DomainError as exc:

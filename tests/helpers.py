@@ -1,5 +1,6 @@
-"""Test-only helpers: independent reference implementations and small
-queries over scanner records that the package itself does not need."""
+"""Test-only helpers: independent reference implementations, Graph-level
+canonical forms, and small queries over scanner records that the package
+itself does not need."""
 
 from __future__ import annotations
 
@@ -8,6 +9,16 @@ from dataclasses import dataclass
 from avoidpairs.canon import _encode, canonical_rows
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
+from avoidpairs.graphs import Graph
+
+
+def canonical_graph(g: Graph) -> Graph:
+    return Graph(g.n, list(canonical_rows(tuple(g.rows), g.n)))
+
+
+def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Hashable isomorphism invariant: (n, canonical adjacency rows)."""
+    return (g.n, canonical_rows(tuple(g.rows), g.n))
 
 
 def smallest_clique_size_linear(m: int, f: int) -> int | None:

@@ -3,8 +3,9 @@ behavior on high-symmetry graphs."""
 
 import random
 
-from avoidpairs.canon import canonical_graph, canonical_key
 from avoidpairs.graphs import Graph
+
+from helpers import canonical_graph, canonical_key
 
 
 def _permuted(g, perm):

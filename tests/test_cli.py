@@ -186,9 +186,10 @@ def test_witness_bad_input_exits_2_with_json_error(capsys, tmp_path, case):
 
 def test_witness_infeasible_exit_code(capsys):
     # e = binom2(5)/2 keeps the direct orientation, whose greedy run starves
-    code, out, _ = run_cli(capsys, "witness", "build", "--n", "5", "--e", "5", "--p", "5")
+    code, out, err = run_cli(capsys, "witness", "build", "--n", "5", "--e", "5", "--p", "5")
     assert code == EXIT_INFEASIBLE
     assert json_lines(out)[0]["infeasible"] is True
+    assert json.loads(err)["kind"] == "infeasible"
 
 
 def test_oracle_commands(capsys):
@@ -256,6 +257,33 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:  # the thread knob is gone
         main(["criterion", "scan-t4", "--from", "740", "--to", "800", "--jobs", "2"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criterion", "eval", "--m", "40"],  # missing required option
+        ["criterion", "eval", "--m", "x", "--q", "0"],  # bad type
+        ["oracle", "xcheck-cf", "--from", "5"],  # unknown flag
+        ["diag", "equidist", "--q", "0", "--n", "10", "--bins", "0"],  # rejected by its type
+        ["nosuch"],  # unknown subcommand
+    ],
+)
+def test_usage_errors_are_one_json_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["kind"] == "usage"
+
+
+def test_help_stays_plain_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "cert", "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_OK and err == ""
+    assert out.startswith("usage: avoidpairs criterion cert")
 
 
 def test_fracbits_validation(capsys):
