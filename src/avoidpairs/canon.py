@@ -1,10 +1,11 @@
 """Canonical labeling for small graphs (n <= 16).
 
-Iterated degree refinement plus individualization backtracking over ordered
+Equitable refinement plus individualization backtracking over ordered
 partitions; the canonical form is the minimum upper-triangle encoding over all
 discrete partitions the search reaches.  Collapsing twin vertices (equal
 neighborhoods outside the pair) keeps high-symmetry graphs such as empty
-graphs, cliques, and unions of cliques from exploding the branch count.
+graphs, cliques, and unions of cliques from exploding the branch count.  On
+request the search records automorphisms and returns the vertex orbits.
 
 The entry points work on bare adjacency-row tuples.
 """
@@ -14,31 +15,53 @@ from __future__ import annotations
 from .errors import DomainError
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Stable equitable refinement: split cells by neighbor counts into every
-    cell until nothing splits; bucket order is by sorted count vector."""
-    while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
+def _refine(
+    rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]
+) -> list[list[int]]:
+    """Stable equitable refinement.
+
+    A pass splits every cell by its vertices' neighbor counts into the
+    ``splitters`` (cell masks in partition order), packed 4 bits a count into
+    one int (n <= 16, so a count is at most 15), and puts the buckets in
+    increasing order in place of the cell; it stops when no cell splits.  The
+    caller passes every cell, or only [v] after individualizing v in an
+    equitable partition (which splits v's cell into [v] and the rest).  A
+    later pass splits only against the buckets the last pass made, minus the
+    last bucket of each split cell.  Two vertices of one cell have equal
+    counts into every cell of the previous partition, and the count into a
+    dropped bucket follows from the counts into its siblings, which come
+    before it in the vector.  So each pass makes the same buckets, in the
+    same order, as a pass against every cell would.
+    """
+    while splitters:
         new_cells: list[list[int]] = []
-        changed = False
+        changed: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            buckets: dict[tuple[int, ...], list[int]] = {}
+            buckets: dict[int, list[int]] = {}
             for v in cell:
                 rv = rows[v]
-                sig = tuple((rv & mk).bit_count() for mk in masks)
+                sig = 0
+                for mk in splitters:
+                    sig = sig << 4 | (rv & mk).bit_count()
                 buckets.setdefault(sig, []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(buckets[sig])
+                continue
+            sigs = sorted(buckets)
+            for sig in sigs[:-1]:
+                bucket = buckets[sig]
+                new_cells.append(bucket)
+                mask = 0
+                for v in bucket:
+                    mask |= 1 << v
+                changed.append(mask)
+            new_cells.append(buckets[sigs[-1]])
         cells = new_cells
-        if not changed:
-            return cells
+        splitters = changed
+    return cells
 
 
 def _twins(rows: tuple[int, ...], u: int, w: int) -> bool:
@@ -48,74 +71,134 @@ def _twins(rows: tuple[int, ...], u: int, w: int) -> bool:
     return rows[u] & keep == rows[w] & keep
 
 
-def _twin_representatives(rows: tuple[int, ...], cell: list[int]) -> list[int]:
-    """One representative per twin class: branching on two twins can only
-    repeat the same minimum."""
-    reps: list[int] = []
-    for v in cell:
-        if not any(_twins(rows, r, v) for r in reps):
-            reps.append(v)
-    return reps
-
-
 def _encode(rows: tuple[int, ...], order: list[int]) -> int:
-    """Upper-triangle bits (column-major) of the relabeled graph as one int."""
+    """Upper-triangle bits (column-major) of the relabeled graph as one int:
+    column j, the neighbors of order[j] among order[:j], is j bits with
+    order[0] on top."""
     enc = 0
     for j in range(1, len(order)):
-        rj = rows[order[j]]
+        r = rows[order[j]]
+        col = 0
         for i in range(j):
-            enc = enc << 1 | (rj >> order[i] & 1)
+            col = col << 1 | (r >> order[i] & 1)
+        enc = enc << j | col
     return enc
 
 
-def canonical_order_rows(
+def root_partition(
     rows: tuple[int, ...], n: int, first: int | None = None
+) -> list[list[int]]:
+    """The equitable partition the search starts from: the refinement of
+    [all] or of [[first], rest].  Its cells are unions of orbits of the
+    automorphisms that fix ``first``, and from [all] the last cell holds only
+    vertices of the largest degree."""
+    if first is None or n == 1:
+        cells = [list(range(n))]
+    else:
+        cells = [[first], [v for v in range(n) if v != first]]
+    return _refine(rows, cells, [sum(1 << v for v in cell) for cell in cells])
+
+
+def canonical_order_rows(
+    rows: tuple[int, ...],
+    n: int,
+    first: int | None = None,
+    root: list[list[int]] | None = None,
+    generators: list[list[int]] | None = None,
 ) -> list[int]:
     """A relabeling (new index -> old vertex) realizing the canonical form.
 
     With ``first`` the search starts from the partition [[first], rest], so
     the form is canonical for the pair (graph, first) and puts first at index
     0: two vertices get equal pointed forms iff an automorphism maps one to
-    the other."""
+    the other.  ``root``, when given, must be root_partition(rows, n, first).
+
+    With a ``generators`` list, every automorphism the search meets is
+    appended to it as a list (vertex -> image): each leaf whose encoding
+    equals the best so far, mapped from the best leaf, and each twin swap the
+    search skips.  Together they generate the group of automorphisms fixing
+    first (oracle._all_classes gives the proof)."""
     if n > 16:
         raise DomainError(f"canonical labeling supports n <= 16, got {n}")
     if n == 0:
         return []
-    best_enc: int | None = None
+    best_enc = 1 << n * (n - 1) // 2  # above every encoding
     best_order: list[int] = list(range(n))
 
     def descend(cells: list[list[int]]) -> None:
         nonlocal best_enc, best_order
-        idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if idx is None:
+        if len(cells) == n:
             order = [c[0] for c in cells]
             enc = _encode(rows, order)
-            if best_enc is None or enc < best_enc:
+            if enc < best_enc:
                 best_enc = enc
                 best_order = order
+            elif enc == best_enc and generators is not None:
+                image = [0] * n
+                for u, v in zip(best_order, order):
+                    image[u] = v
+                generators.append(image)
             return
+        idx = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[idx]
-        for v in _twin_representatives(rows, cell):
+        reps: list[int] = []
+        for v in cell:
+            twin = next((r for r in reps if _twins(rows, r, v)), None)
+            if twin is None:
+                reps.append(v)
+            elif generators is not None:
+                swap = list(range(n))
+                swap[twin], swap[v] = v, twin
+                generators.append(swap)
+        for v in reps:
             rest = [w for w in cell if w != v]
-            descend(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :]))
+            descend(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :], [1 << v]))
 
-    if first is None or n == 1:
-        cells = [list(range(n))]
-    else:
-        cells = [[first], [v for v in range(n) if v != first]]
-    descend(_refine(rows, cells))
+    descend(root_partition(rows, n, first) if root is None else root)
     return best_order
 
 
+def _orbits(generators: list[list[int]], pos: list[int]) -> list[int]:
+    """Orbits of the group the generators generate, by union-find: each
+    vertex gets the largest ``pos`` in its orbit."""
+    parent = list(range(len(pos)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for image in generators:
+        for u, v in enumerate(image):
+            if u != v:
+                a, b = find(u), find(v)
+                if pos[a] > pos[b]:
+                    a, b = b, a
+                parent[a] = b  # a class's root is its member of largest pos
+    return [pos[find(v)] for v in range(len(pos))]
+
+
 def canonical_rows(
-    rows: tuple[int, ...], n: int, first: int | None = None
+    rows: tuple[int, ...],
+    n: int,
+    first: int | None = None,
+    orbits: list[int] | None = None,
+    root: list[list[int]] | None = None,
 ) -> tuple[int, ...]:
     """Adjacency rows of the canonically labeled graph (pointed at ``first``
-    when given, see canonical_order_rows)."""
-    order = canonical_order_rows(rows, n, first)
+    when given, see canonical_order_rows).
+
+    An ``orbits`` list is filled with the orbits of the automorphisms fixing
+    first: orbits[v] is the largest canonical index in v's orbit, so
+    orbits[v] == n - 1 iff v is in the orbit of the canonically last vertex.
+    ``root`` may pass root_partition(rows, n, first) when the caller has it."""
+    generators: list[list[int]] | None = None if orbits is None else []
+    order = canonical_order_rows(rows, n, first, root, generators)
     pos = [0] * n
     for new, old in enumerate(order):
         pos[old] = new
+    if orbits is not None:
+        orbits[:] = _orbits(generators, pos)
     out = [0] * n
     for old_u in range(n):
         r = rows[old_u]

@@ -78,9 +78,12 @@ def _frac_record(frac: exactarith.FixedPointFrac) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
 
 

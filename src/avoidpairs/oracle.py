@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .canon import _encode, _twins, canonical_rows
+from .canon import _encode, _twins, canonical_rows, root_partition
 from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
@@ -48,53 +48,35 @@ def _twin_steps(rows: tuple[int, ...]) -> list[tuple[int, int]]:
     return steps
 
 
-def _deletion_key(
-    rows: tuple[int, ...], n: int, deg: list[int]
-) -> tuple[bool, tuple[int, ...]] | None:
-    """None unless vertex n-1 lies in the canonical deletion orbit; otherwise
-    a key that two such graphs share iff they are isomorphic.
-
-    The canonical deletion orbit: among the vertices with the largest
-    (degree, sum of neighbor degrees), the orbit with the least pointed
-    canonical form.  Twins of n-1 share its orbit and are not labelled.  The
-    caller has checked that no degree exceeds deg[n-1].  The key is
-    (False, canonical form) when only twins of n-1 tie with it, and (True,
-    pointed form of n-1) otherwise; which case holds is an isomorphism
-    invariant, so isomorphic graphs get the same kind of key."""
-
-    def score(v: int) -> int:
-        r = rows[v]
-        return sum(deg[u] for u in range(n) if r >> u & 1)
-
-    d, s = deg[n - 1], score(n - 1)
-    tied = []
-    for v in range(n - 1):
-        if deg[v] == d:
-            sv = score(v)
-            if sv > s:
-                return None
-            if sv == s and not _twins(rows, v, n - 1):
-                tied.append(v)
-    if not tied:
-        return False, canonical_rows(rows, n)
-    mine = canonical_rows(rows, n, first=n - 1)
-    if all(mine <= canonical_rows(rows, n, first=v) for v in tied):
-        return True, mine
-    return None
-
-
 @lru_cache(maxsize=None)
 def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
     """Every isomorphism class on n vertices with e_lo <= e <= e_hi edges, as
     canonical rows sorted by the upper-triangle encoding (graph6 order).
 
     Built by canonical augmentation (McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998).  Each graph has a canonical
-    deletion orbit (see _deletion_key), defined from the graph alone, so an
-    isomorphism carries it onto the canonical deletion orbit of the image.  A
-    child, parent + new vertex, is kept only if the new vertex lies in that
-    orbit; most children already fail on degree, which the parent's degrees
-    and the mask decide without building the child.
+    generation", J. Algorithms 26, 1998).  The canonical deletion orbit of a
+    graph is the orbit of the vertex with the largest canonical index, which
+    lies in the last cell of the root equitable partition.  An isomorphism
+    carries canonical labellings onto canonical labellings up to an
+    automorphism, so it carries the canonical deletion orbit onto that of the
+    image.  A child, parent + new vertex, is kept only if the new vertex lies
+    in that orbit.  Cells of the root partition are unions of orbits, so a
+    child whose new vertex is outside the last cell is rejected after one
+    refinement; the rest are labelled once, which gives both the canonical
+    form and the orbits.  The last cell holds only vertices of the largest
+    degree, so most children already fail on degree, which the parent's
+    degrees and the mask decide without building the child.
+    - Orbits: the automorphisms the labelling records, leaves tying the best
+      and twin swaps, generate Aut(G).  Twin pruning skips the child of w at
+      a search node only when w is a twin of an explored sibling r; the swap
+      of r and w is recorded, fixes the node's individualized vertices, and
+      maps the skipped child onto the explored one.  By induction on depth,
+      a product of recorded generators maps every node of the unpruned tree
+      onto an explored node.  An automorphism g maps the first best leaf onto
+      a leaf with the same encoding, which such a product maps onto an
+      explored best leaf; that leaf was recorded as the image of the first
+      best leaf.  An automorphism is fixed by the image of one leaf, so g is
+      a product of recorded generators.
     - Complete: for G on k+1 vertices and w in its canonical orbit, G - w is
       isomorphic to one parent P of level k, and the matching mask on P gives
       a child isomorphic to G whose new vertex is the image of w, so that
@@ -104,7 +86,8 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
       isomorphism maps one new vertex into the other's orbit, so P and P'
       are isomorphic, hence equal, as a level holds one graph per class.
       Kept siblings can still be isomorphic (masks related by an
-      automorphism of P), so they are deduplicated per parent, by key.
+      automorphism of P), so they are deduplicated per parent, by canonical
+      form, which is also the form a level keeps.
     A child on k+1 vertices is kept only if the window is still reachable
     from it: at most e_hi edges, and at least e_lo once every edge outside
     its k+1 vertices is added.  The chain of canonical deletions from a graph
@@ -123,7 +106,7 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
             deg = [r.bit_count() for r in parent]
             e_parent = sum(deg) // 2
             steps = _twin_steps(parent)
-            children: dict[tuple[bool, tuple[int, ...]], tuple[int, ...]] = {}
+            children: set[tuple[int, ...]] = set()
             # the new vertex takes the largest degree d = |mask|, so
             # d >= top and the parent's vertices of degree top stay out of
             # the mask when d = top
@@ -131,21 +114,20 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
             tops = sum(1 << v for v in range(k) if deg[v] == top)
             d_lo = max(top, e_lo - cap_after - e_parent)
             d_hi = e_hi - e_parent
+            orbits: list[int] = []
             for mask in range(1 << k):
                 d = mask.bit_count()
                 if (not d_lo <= d <= d_hi or d == top and mask & tops
                         or any(mask >> w & 1 > mask >> u & 1 for u, w in steps)):
                     continue
                 child = _extend(parent, mask)
-                child_deg = [deg[v] + (mask >> v & 1) for v in range(k)] + [d]
-                key = _deletion_key(child, k + 1, child_deg)
-                if key is not None:
-                    children.setdefault(key, child)
-            if k + 1 < n:  # any labelling of a class serves as a parent
-                nxt.extend(form for _, form in children)
-            else:
-                nxt.extend(canonical_rows(child, n) if pointed else form
-                           for (pointed, form), child in children.items())
+                root = root_partition(child, k + 1)
+                if k not in root[-1]:
+                    continue
+                form = canonical_rows(child, k + 1, orbits=orbits, root=root)
+                if orbits[k] == k:
+                    children.add(form)
+            nxt.extend(children)
         level = nxt
     identity = list(range(n))
     return tuple(sorted(level, key=lambda rs: _encode(rs, identity)))
@@ -206,25 +188,6 @@ def _has_induced_size(rows: list[int] | tuple[int, ...], n: int, m: int, f: int)
         return False
 
     return rec(0, 0, 0, 0)
-
-
-def induced_size_set(g: Graph, m: int) -> frozenset[int]:
-    """All induced edge counts over m-subsets of g."""
-    if not 0 < m <= g.n:
-        raise DomainError(f"need 1 <= m <= {g.n}, got m={m}")
-    rows = g.rows
-    n = g.n
-    sizes: set[int] = set()
-
-    def rec(start: int, mask: int, j: int, count: int) -> None:
-        if j == m:
-            sizes.add(count)
-            return
-        for v in range(start, n - (m - j) + 1):
-            rec(v + 1, mask | (1 << v), j + 1, count + (rows[v] & mask).bit_count())
-
-    rec(0, 0, 0, 0)
-    return frozenset(sizes)
 
 
 def arrows(g: Graph, pair: PairMF) -> bool:

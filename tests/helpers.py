@@ -21,6 +21,25 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     return (g.n, canonical_rows(tuple(g.rows), g.n))
 
 
+def induced_size_set(g: Graph, m: int) -> frozenset[int]:
+    """All induced edge counts over m-subsets of g."""
+    if not 0 < m <= g.n:
+        raise DomainError(f"need 1 <= m <= {g.n}, got m={m}")
+    rows = g.rows
+    n = g.n
+    sizes: set[int] = set()
+
+    def rec(start: int, mask: int, j: int, count: int) -> None:
+        if j == m:
+            sizes.add(count)
+            return
+        for v in range(start, n - (m - j) + 1):
+            rec(v + 1, mask | (1 << v), j + 1, count + (rows[v] & mask).bit_count())
+
+    rec(0, 0, 0, 0)
+    return frozenset(sizes)
+
+
 def smallest_clique_size_linear(m: int, f: int) -> int | None:
     """Smallest clique size x such that (m, f) is K_x plus a forest on the
     other m - x vertices, by a linear scan over x; None when no x works."""

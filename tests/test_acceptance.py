@@ -28,7 +28,6 @@ from avoidpairs.oracle import (
     clique_forest_oracle,
     compute_S_n,
     enumerate_graphs,
-    induced_size_set,
 )
 from avoidpairs.pell import generate_M, pell_next, pell_states, verify_pell_state
 from avoidpairs.witness import (
@@ -37,7 +36,7 @@ from avoidpairs.witness import (
     exhaustive_arrow_check,
     verify_witness,
 )
-from helpers import labeled_class_counts
+from helpers import induced_size_set, labeled_class_counts
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -278,6 +278,22 @@ def test_usage_errors_are_one_json_line(capsys, argv):
     assert json.loads(line)["kind"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diag", "equidist", "--q", "1", "--n", "20", "--bins", "1/2"],
+        ["oracle", "arrows", "--n", "5", "--e", "3", "--m", "3", "--f", "1", "--query-guard", "x"],
+    ],
+)
+def test_non_integer_counts_name_the_option_not_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert json.loads(err)["kind"] == "usage"
+    assert "_positive_int" not in err
+
+
 def test_help_stays_plain_text(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["criterion", "cert", "--help"])

@@ -1,8 +1,11 @@
 """Enumeration, arrowing, S_n reports, and the explicit clique-plus-forest
 oracle against the criterion module."""
 
+import hashlib
+
 import pytest
 
+from avoidpairs import oracle
 from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
@@ -15,9 +18,8 @@ from avoidpairs.oracle import (
     clique_forest_oracle,
     compute_S_n,
     enumerate_graphs,
-    induced_size_set,
 )
-from helpers import classes_by_set_dedup, labeled_class_counts
+from helpers import classes_by_set_dedup, induced_size_set, labeled_class_counts
 
 KNOWN_TOTALS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -70,6 +72,31 @@ def test_canonical_augmentation_matches_set_dedup_reference():
                 assert _all_classes(n, lo, hi) == want, (n, lo, hi)
     for lo, hi in [(e, e) for e in range(binom2(7) + 1)] + [(0, binom2(7))]:
         assert _all_classes(7, lo, hi) == classes_by_set_dedup(7, lo, hi), (lo, hi)
+
+
+def test_level_8_bytes_are_pinned():
+    # the classes on 8 vertices and their order, as graph6 lines
+    digest = hashlib.sha256()
+    for rows in _all_classes(8, 0, binom2(8)):
+        digest.update((to_graph6(Graph(8, list(rows))) + "\n").encode())
+    assert digest.hexdigest() == "2415a1e55618d429e08e9b28ac59a8ea8e97f81ad24069d6fa3f383a7ce2a03c"
+
+
+def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
+    # the count pins the build's work: candidates outside the last cell of
+    # the root partition are never labelled, and no candidate twice
+    calls = []
+    labelling = oracle.canonical_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return labelling(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "canonical_rows", counted)
+    level = _all_classes.__wrapped__(7, 0, binom2(7))
+    assert len(level) == 1044
+    assert len(calls) == 1525
+    assert len({args[0] for args in calls}) == len(calls)
 
 
 def test_labeled_recount_matches_augmentation():

@@ -1,7 +1,7 @@
 """Property tests: the surd floor against integer bisection, the floor
 decision against the linear reference, the graph6 round trip, and canonical
-labelling (plain and pointed) under relabelling, over inputs drawn by
-hypothesis."""
+labelling (plain and pointed) under relabelling and the automorphisms it
+records, over inputs drawn by hypothesis."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidpairs.canon import canonical_rows
+from avoidpairs.canon import canonical_order_rows, canonical_rows
 from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
 from avoidpairs.exactarith import binom2, surd_floor
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
@@ -122,3 +122,30 @@ def test_pointed_forms_are_equal_exactly_on_orbits(gvp, data):
     )
     equal = canonical_rows(rows, g.n, first=v) == canonical_rows(rows, g.n, first=w)
     assert equal == same_orbit
+
+
+@given(pointed_graphs(max_n=6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_recorded_automorphisms_give_the_brute_force_orbits(gvp, pointed):
+    g, v, _ = gvp
+    first = v if pointed else None
+    rows = tuple(g.rows)
+    edges = {tuple(sorted(uv)) for uv in g.edges()}
+
+    def image_edges(p):
+        return {tuple(sorted((p[a], p[b]))) for a, b in edges}
+
+    generators = []
+    order = canonical_order_rows(rows, g.n, first, generators=generators)
+    for p in generators:
+        assert image_edges(p) == edges
+        assert first is None or p[first] == first
+    group = [p for p in itertools.permutations(range(g.n))
+             if image_edges(p) == edges and (first is None or p[first] == first)]
+    pos = {u: i for i, u in enumerate(order)}
+    orbits = []
+    canonical_rows(rows, g.n, first, orbits=orbits)
+    for u in range(g.n):
+        orbit = {p[u] for p in group}
+        assert {w for w in range(g.n) if orbits[w] == orbits[u]} == orbit
+        assert orbits[u] == max(pos[w] for w in orbit)
