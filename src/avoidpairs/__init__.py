@@ -22,7 +22,6 @@ _EXPORTS = {
         "Impossible", "PairMF", "Realizable", "avoidability_certificate",
         "clique_forest_realizable", "eval_criterion", "lr_from_f", "lr_values",
         "scan_interval", "scan_mod23", "scan_affine_q", "scan_offset_disjunction",
-        "xcheck_lr_equivalence",
     ),
     "equidist": ("EquidistReport", "diag_equidist"),
     "errors": ("DomainError", "GuardError", "ScanAssertionError"),

@@ -162,33 +162,6 @@ def eval_criterion(m: int, q: int, fracbits: int = DEFAULT_FRACBITS) -> Criterio
                          d_approx=FixedPointFrac(d_num, fracbits))
 
 
-def _smallest_clique_size(m: int, f: int) -> int | None:
-    """Smallest clique size x such that (m, f) is a clique K_x plus a forest on
-    the remaining m - x vertices, or None when no x in [0, m] works.
-
-    Independent reference for xcheck_lr_equivalence; clique_forest_realizable
-    decides from the floors instead.  The exact feasibility condition at x is
-    binom2(x) <= f and f - binom2(x) <= max(0, m - x - 1).  x = 0 covers all
-    f <= m - 1; for f >= m the forest-budget excess 2f - x(x-1) - 2(m - x - 1)
-    is strictly decreasing on [2, m-1], so the smallest feasible x there is
-    found by bisection; x = m needs f = binom2(m) exactly.
-    """
-    if f <= m - 1:
-        return 0
-    # f >= m: x = 0, 1 overflow the forest budget and add no clique edges.
-    if f > binom2(m - 1):
-        # excess still positive at x = m-1, so only the full clique remains
-        return m if f == binom2(m) else None
-    lo, hi = 2, m - 1  # excess > 0 at x=2 (since f >= m), <= 0 at x=m-1
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if 2 * f - mid * (mid - 1) <= 2 * (m - mid - 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo if lo * (lo - 1) // 2 <= f else None
-
-
 def clique_forest_realizable(pair: PairMF) -> CliqueForestCert:
     """Decide clique+forest realizability of the pair from the floors L and R.
 
@@ -269,7 +242,9 @@ def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> I
     for m in range(m_lo, m_hi + 1):
         if m % 4 not in (0, 1) or m < 5:
             continue
-        dy, dz = radicands(m, 0)
+        # q = 0 is inside the envelope for every m >= 5
+        dy = radicand_dy(m, 0)
+        dz = dy + 8 * (m - 1)
         l0, r0 = lr_floors(dy, dz)
         center = l0 > r0
         if _in_envelope(m, 6 * m):
@@ -429,35 +404,3 @@ def scan_mod23(m_lo: int, m_hi: int) -> Iterator[dict]:
             rec["offset"] = None
             rec["offset_avoidable"] = None
         yield rec
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive bisection-vs-floors cross-check: the bisection search is the
-# independent reference for the floor decision in clique_forest_realizable.
-
-
-def xcheck_lr_equivalence(m_lo: int, m_hi: int) -> dict:
-    """For every m = 0, 1 (mod 4) in range and every integer q with |q| <= m
-    inside the envelope, check the bisection reference against the floors:
-    impossible exactly when L > R, and otherwise smallest clique size L.
-    Returns {"pairs_checked", "mismatches"}."""
-    sq = math.isqrt
-    checked = 0
-    mismatches: list[dict] = []
-    for m in range(m_lo, m_hi + 1):
-        if m % 4 in (2, 3) or m < 5:
-            continue
-        half = m * (m - 1) // 4
-        qmax = min(m, (m - 5) ** 2 // 4)
-        base_y = 2 * m * m - 10 * m + 9
-        base_z = 2 * m * m - 2 * m + 1
-        for q in range(-qmax, qmax + 1):
-            f = half - q
-            x = _smallest_clique_size(m, f)
-            lval = (5 + sq(base_y - 8 * q)) >> 1
-            rval = (1 + sq(base_z - 8 * q)) >> 1
-            checked += 1
-            if x != (None if lval > rval else lval):
-                mismatches.append({"m": m, "q": q, "f": f, "L": lval, "R": rval,
-                                   "search_x": x})
-    return {"pairs_checked": checked, "mismatches": mismatches}

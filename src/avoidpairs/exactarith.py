@@ -40,7 +40,9 @@ def surd_floor(c: int, d: int) -> int:
     k = (c + s) // 2 in both parities.  A perfect-square d makes sqrt(d) = s
     the left endpoint of the same interval, so no separate case is needed.
     """
-    return (c + isqrt(d)) // 2
+    if d < 0:
+        raise DomainError(f"surd_floor requires a non-negative radicand, got {d}")
+    return (c + math.isqrt(d)) // 2
 
 
 @dataclass(frozen=True)

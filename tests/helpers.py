@@ -4,6 +4,7 @@ itself does not need."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from avoidpairs.canon import _encode, canonical_rows
@@ -52,6 +53,60 @@ def smallest_clique_size_linear(m: int, f: int) -> int | None:
         if f - clique_edges <= budget:
             return x
     return None
+
+
+def smallest_clique_size_bisection(m: int, f: int) -> int | None:
+    """Smallest clique size x such that (m, f) is a clique K_x plus a forest on
+    the remaining m - x vertices, or None when no x in [0, m] works.
+
+    Independent reference for xcheck_lr_equivalence; clique_forest_realizable
+    decides from the floors instead.  The exact feasibility condition at x is
+    binom2(x) <= f and f - binom2(x) <= max(0, m - x - 1).  x = 0 covers all
+    f <= m - 1; for f >= m the forest-budget excess 2f - x(x-1) - 2(m - x - 1)
+    is strictly decreasing on [2, m-1], so the smallest feasible x there is
+    found by bisection; x = m needs f = binom2(m) exactly.
+    """
+    if f <= m - 1:
+        return 0
+    # f >= m: x = 0, 1 overflow the forest budget and add no clique edges.
+    if f > binom2(m - 1):
+        # excess still positive at x = m-1, so only the full clique remains
+        return m if f == binom2(m) else None
+    lo, hi = 2, m - 1  # excess > 0 at x=2 (since f >= m), <= 0 at x=m-1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if 2 * f - mid * (mid - 1) <= 2 * (m - mid - 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo if lo * (lo - 1) // 2 <= f else None
+
+
+def xcheck_lr_equivalence(m_lo: int, m_hi: int) -> dict:
+    """Exhaustive bisection-vs-floors cross-check: for every m = 0, 1 (mod 4)
+    in range and every integer q with |q| <= m inside the envelope, check the
+    bisection reference against the floors: impossible exactly when L > R, and
+    otherwise smallest clique size L.  Returns {"pairs_checked", "mismatches"}."""
+    sq = math.isqrt
+    checked = 0
+    mismatches: list[dict] = []
+    for m in range(m_lo, m_hi + 1):
+        if m % 4 in (2, 3) or m < 5:
+            continue
+        half = m * (m - 1) // 4
+        qmax = min(m, (m - 5) ** 2 // 4)
+        base_y = 2 * m * m - 10 * m + 9
+        base_z = 2 * m * m - 2 * m + 1
+        for q in range(-qmax, qmax + 1):
+            f = half - q
+            x = smallest_clique_size_bisection(m, f)
+            lval = (5 + sq(base_y - 8 * q)) >> 1
+            rval = (1 + sq(base_z - 8 * q)) >> 1
+            checked += 1
+            if x != (None if lval > rval else lval):
+                mismatches.append({"m": m, "q": q, "f": f, "L": lval, "R": rval,
+                                   "search_x": x})
+    return {"pairs_checked": checked, "mismatches": mismatches}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from avoidpairs.criterion import (
     clique_forest_realizable,
     eval_criterion,
     scan_offset_disjunction,
-    xcheck_lr_equivalence,
 )
 from avoidpairs.equidist import diag_equidist
 from avoidpairs.exactarith import binom2, isqrt
@@ -36,7 +35,7 @@ from avoidpairs.witness import (
     exhaustive_arrow_check,
     verify_witness,
 )
-from helpers import induced_size_set, labeled_class_counts
+from helpers import induced_size_set, labeled_class_counts, xcheck_lr_equivalence
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

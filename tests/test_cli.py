@@ -16,8 +16,11 @@ from avoidpairs.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    dump_json,
     main,
+    scan_t4_line,
 )
+from avoidpairs.criterion import scan_offset_disjunction
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +92,15 @@ def test_scan_t4_assert_failure_streams_records_then_reports(capsys):
     assert code == EXIT_ASSERTION
     assert [row.split(",")[0] for row in out.splitlines()[1:]] == [str(rec["m"]) for rec in streamed]
     assert json_lines(err) == [*failures, error]
+
+
+def test_scan_t4_line_matches_dump_json():
+    records = list(scan_offset_disjunction(5, 2000))
+    # the range holds rows below the +/-6m envelope and rows of every verdict
+    assert any(rec["L6m"] is None for rec in records)
+    assert {rec["which"] for rec in records} == {"center", "offset6m", "none"}
+    for rec in records:
+        assert scan_t4_line(rec) == dump_json(rec) + "\n", rec
 
 
 def test_closed_stdout_exits_141_without_traceback():
@@ -182,6 +194,17 @@ def test_witness_bad_input_exits_2_with_json_error(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert json.loads(err)["kind"] == "domain"
+
+
+def test_witness_verify_rejects_nonzero_graph6_padding(capsys, tmp_path):
+    g6_path = tmp_path / "padded.g6"
+    g6_path.write_text("A`\n")  # K_2 with a padding bit set
+    code, out, err = run_cli(capsys, "witness", "verify", "--graph6", str(g6_path),
+                             "--pair", "3,1", "--clique-vertices", "0")
+    assert code == EXIT_USAGE and out == ""
+    [line] = err.splitlines()
+    record = json.loads(line)
+    assert set(record) == {"error", "kind"} and record["kind"] == "domain"
 
 
 def test_witness_infeasible_exit_code(capsys):

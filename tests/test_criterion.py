@@ -12,7 +12,6 @@ from avoidpairs.criterion import (
     Impossible,
     PairMF,
     Realizable,
-    _smallest_clique_size,
     avoidability_certificate,
     clique_forest_realizable,
     eval_criterion,
@@ -22,11 +21,17 @@ from avoidpairs.criterion import (
     scan_mod23,
     scan_affine_q,
     scan_offset_disjunction,
-    xcheck_lr_equivalence,
 )
 from avoidpairs.errors import DomainError, ScanAssertionError
 from avoidpairs.exactarith import binom2
-from helpers import TableQ, first_persistent_m, scan_hits, smallest_clique_size_linear
+from helpers import (
+    TableQ,
+    first_persistent_m,
+    scan_hits,
+    smallest_clique_size_bisection as _smallest_clique_size,
+    smallest_clique_size_linear,
+    xcheck_lr_equivalence,
+)
 
 
 def test_pair_validation_and_complement():

@@ -52,6 +52,11 @@ def test_surd_floor_negative_shift_and_squares():
     assert surd_floor(-1, 2) == 0  # (-1+1.41)/2 = 0.207
 
 
+def test_surd_floor_rejects_negative_radicand():
+    with pytest.raises(DomainError):
+        surd_floor(5, -1)
+
+
 def _fixed_point_floor(c: int, d: int, fracbits: int = 256) -> int:
     # floor((c + sqrt(d))/2) via truncated fixed point.  num <= 2^fb*(c+sqrt(d))
     # < num+1, and no integer multiple of 2^(fb+1) can separate them (it would

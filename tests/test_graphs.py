@@ -117,6 +117,18 @@ def test_graph6_errors():
         from_graph6("~~?????")  # 8-byte header, n > 258047
 
 
+def test_graph6_rejects_padding_bad_bytes_and_long_bodies():
+    assert from_graph6("A_") == Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(DomainError, match="padding"):
+        from_graph6("A`")  # K_2 plus one set padding bit
+    with pytest.raises(DomainError, match="byte"):
+        from_graph6("C\x7f")  # body byte above '~'
+    with pytest.raises(DomainError, match="byte"):
+        from_graph6("C>")  # body byte below '?'
+    with pytest.raises(DomainError, match="length"):
+        from_graph6("A_?")  # one body byte too many
+
+
 def test_girth_examples():
     assert girth(Graph.complete(3)) == 3
     tree = Graph.from_edges(10, [(0, i) for i in range(1, 10)])

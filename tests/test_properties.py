@@ -1,7 +1,8 @@
 """Property tests: the surd floor against integer bisection, the floor
-decision against the linear reference, the graph6 round trip, and canonical
-labelling (plain and pointed) under relabelling and the automorphisms it
-records, over inputs drawn by hypothesis."""
+decision against the linear reference, the scan-t4 line format against the
+JSON encoder, the graph6 round trip and its refusal of malformed text, and
+canonical labelling (plain and pointed) under relabelling and the
+automorphisms it records, over inputs drawn by hypothesis."""
 
 import itertools
 import random
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoidpairs.canon import canonical_order_rows, canonical_rows
-from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
+from avoidpairs.cli import dump_json, scan_t4_line
+from avoidpairs.criterion import (
+    PairMF,
+    Realizable,
+    clique_forest_realizable,
+    scan_offset_disjunction,
+)
+from avoidpairs.errors import DomainError
 from avoidpairs.exactarith import binom2, surd_floor
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
 from helpers import smallest_clique_size_linear
@@ -61,6 +69,13 @@ def test_floor_decision_matches_linear_reference(mf):
         assert cert == Realizable(x, m - x, f - binom2(x))
 
 
+@given(st.integers(5, 10**6), st.integers(0, 200))
+@settings(max_examples=200, deadline=None)
+def test_scan_t4_line_matches_dump_json(m_lo, width):
+    for rec in scan_offset_disjunction(m_lo, m_lo + width):
+        assert scan_t4_line(rec) == dump_json(rec) + "\n"
+
+
 @given(st.integers(0, 300), st.floats(0, 1), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_graph6_round_trip(n, density, seed):
@@ -71,6 +86,23 @@ def test_graph6_round_trip(n, density, seed):
         n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
     )
     assert from_graph6(to_graph6(g)) == g
+
+
+# any text, and text over the graph6 alphabet with its neighbours '>' and DEL
+graph6_texts = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet=st.characters(min_codepoint=0x3E, max_codepoint=0x7F), max_size=12),
+)
+
+
+@given(graph6_texts)
+@settings(max_examples=500, deadline=None)
+def test_from_graph6_returns_a_graph_or_raises_domain_error(text):
+    try:
+        g = from_graph6(text)
+    except DomainError:
+        return
+    assert isinstance(g, Graph)
 
 
 @st.composite

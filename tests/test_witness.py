@@ -152,3 +152,18 @@ def test_certified_nonarrowing_matches_exhaustive_check():
         verdict = verify_witness(w, pair)
         assert verdict.passed
         assert not exhaustive_arrow_check(w.graph, pair)
+
+
+def test_verified_witnesses_never_arrow_the_certified_pair():
+    # every (n, e) with n <= 12, against the certified pair (5, 5)
+    pair = PairMF(5, 5)
+    built = 0
+    for n in range(1, 13):
+        for e in range(binom2(n) + 1):
+            w = build_witness_or_complement(n, e, 6)
+            if isinstance(w, Infeasible):
+                continue
+            built += 1
+            assert verify_witness(w, pair).passed, (n, e)
+            assert not exhaustive_arrow_check(w.graph, pair), (n, e)
+    assert built >= 269  # of 298; the rest are honest Infeasible results
