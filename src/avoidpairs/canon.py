@@ -4,8 +4,9 @@ Equitable refinement plus individualization backtracking over ordered
 partitions; the canonical form is the minimum upper-triangle encoding over all
 discrete partitions the search reaches.  Collapsing twin vertices (equal
 neighborhoods outside the pair) keeps high-symmetry graphs such as empty
-graphs, cliques, and unions of cliques from exploding the branch count.  On
-request the search records automorphisms and returns the vertex orbits.
+graphs, cliques, and unions of cliques from exploding the branch count.  The
+search records automorphisms, and the labelling returns the vertex orbits
+along with the form.
 
 The entry points work on bare adjacency-row tuples.
 """
@@ -85,43 +86,24 @@ def _encode(rows: tuple[int, ...], order: list[int]) -> int:
     return enc
 
 
-def root_partition(
-    rows: tuple[int, ...], n: int, first: int | None = None
-) -> list[list[int]]:
-    """The equitable partition the search starts from: the refinement of
-    [all] or of [[first], rest].  Its cells are unions of orbits of the
-    automorphisms that fix ``first``, and from [all] the last cell holds only
-    vertices of the largest degree."""
-    if first is None or n == 1:
-        cells = [list(range(n))]
-    else:
-        cells = [[first], [v for v in range(n) if v != first]]
-    return _refine(rows, cells, [sum(1 << v for v in cell) for cell in cells])
+def root_partition(rows: tuple[int, ...], n: int) -> list[list[int]]:
+    """The equitable partition the search starts from, the refinement of
+    [all].  Its cells are unions of orbits, and the last cell holds only
+    vertices of the largest degree.  Needs n >= 1."""
+    return _refine(rows, [list(range(n))], [(1 << n) - 1])
 
 
 def canonical_order_rows(
-    rows: tuple[int, ...],
-    n: int,
-    first: int | None = None,
-    root: list[list[int]] | None = None,
-    generators: list[list[int]] | None = None,
+    rows: tuple[int, ...], n: int, root: list[list[int]], generators: list[list[int]]
 ) -> list[int]:
-    """A relabeling (new index -> old vertex) realizing the canonical form.
+    """A relabeling (new index -> old vertex) realizing the canonical form,
+    searched from ``root`` = root_partition(rows, n), for 1 <= n <= 16.
 
-    With ``first`` the search starts from the partition [[first], rest], so
-    the form is canonical for the pair (graph, first) and puts first at index
-    0: two vertices get equal pointed forms iff an automorphism maps one to
-    the other.  ``root``, when given, must be root_partition(rows, n, first).
-
-    With a ``generators`` list, every automorphism the search meets is
-    appended to it as a list (vertex -> image): each leaf whose encoding
-    equals the best so far, mapped from the best leaf, and each twin swap the
-    search skips.  Together they generate the group of automorphisms fixing
-    first (oracle._all_classes gives the proof)."""
-    if n > 16:
-        raise DomainError(f"canonical labeling supports n <= 16, got {n}")
-    if n == 0:
-        return []
+    Every automorphism the search meets is appended to ``generators`` as a
+    list (vertex -> image): each leaf whose encoding equals the best so far,
+    mapped from the best leaf, and each twin swap the search skips.  Together
+    they generate the automorphism group (oracle._all_classes gives the
+    proof)."""
     best_enc = 1 << n * (n - 1) // 2  # above every encoding
     best_order: list[int] = list(range(n))
 
@@ -133,7 +115,7 @@ def canonical_order_rows(
             if enc < best_enc:
                 best_enc = enc
                 best_order = order
-            elif enc == best_enc and generators is not None:
+            elif enc == best_enc:
                 image = [0] * n
                 for u, v in zip(best_order, order):
                     image[u] = v
@@ -146,7 +128,7 @@ def canonical_order_rows(
             twin = next((r for r in reps if _twins(rows, r, v)), None)
             if twin is None:
                 reps.append(v)
-            elif generators is not None:
+            else:
                 swap = list(range(n))
                 swap[twin], swap[v] = v, twin
                 generators.append(swap)
@@ -154,7 +136,7 @@ def canonical_order_rows(
             rest = [w for w in cell if w != v]
             descend(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :], [1 << v]))
 
-    descend(root_partition(rows, n, first) if root is None else root)
+    descend(root)
     return best_order
 
 
@@ -179,26 +161,23 @@ def _orbits(generators: list[list[int]], pos: list[int]) -> list[int]:
 
 
 def canonical_rows(
-    rows: tuple[int, ...],
-    n: int,
-    first: int | None = None,
-    orbits: list[int] | None = None,
-    root: list[list[int]] | None = None,
-) -> tuple[int, ...]:
-    """Adjacency rows of the canonically labeled graph (pointed at ``first``
-    when given, see canonical_order_rows).
-
-    An ``orbits`` list is filled with the orbits of the automorphisms fixing
-    first: orbits[v] is the largest canonical index in v's orbit, so
+    rows: tuple[int, ...], n: int, root: list[list[int]] | None = None
+) -> tuple[tuple[int, ...], list[int]]:
+    """Adjacency rows of the canonically labeled graph, and its vertex orbits:
+    orbits[v] is the largest canonical index in v's orbit, so
     orbits[v] == n - 1 iff v is in the orbit of the canonically last vertex.
-    ``root`` may pass root_partition(rows, n, first) when the caller has it."""
-    generators: list[list[int]] | None = None if orbits is None else []
-    order = canonical_order_rows(rows, n, first, root, generators)
+    ``root`` may pass root_partition(rows, n) when the caller has it."""
+    if n > 16:
+        raise DomainError(f"canonical labeling supports n <= 16, got {n}")
+    if n == 0:
+        return (), []
+    if root is None:
+        root = root_partition(rows, n)
+    generators: list[list[int]] = []
+    order = canonical_order_rows(rows, n, root, generators)
     pos = [0] * n
     for new, old in enumerate(order):
         pos[old] = new
-    if orbits is not None:
-        orbits[:] = _orbits(generators, pos)
     out = [0] * n
     for old_u in range(n):
         r = rows[old_u]
@@ -207,4 +186,4 @@ def canonical_rows(
             b = r & -r
             out[nu] |= 1 << pos[b.bit_length() - 1]
             r ^= b
-    return tuple(out)
+    return tuple(out), _orbits(generators, pos)

@@ -57,11 +57,8 @@ class FixedPointFrac:
     value: int
     fracbits: int
 
-    def as_float(self) -> float:
-        return self.value / (1 << self.fracbits)
-
     def __float__(self) -> float:
-        return self.as_float()
+        return self.value / (1 << self.fracbits)
 
 
 def frac_sqrt_half(d: int, fracbits: int = DEFAULT_FRACBITS) -> FixedPointFrac:

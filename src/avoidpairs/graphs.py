@@ -56,11 +56,6 @@ class Graph:
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self.rows[v].bit_count()
@@ -80,20 +75,8 @@ class Graph:
         full = (1 << self.n) - 1
         return Graph(self.n, [(full ^ (1 << v) ^ self.rows[v]) & full for v in range(self.n)])
 
-    def induced_edge_count(self, vertices: Iterable[int]) -> int:
-        mask = 0
-        count = 0
-        for v in vertices:
-            self._check_vertex(v)
-            count += (self.rows[v] & mask).bit_count()
-            mask |= 1 << v
-        return count
-
-    def key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.n, tuple(self.rows))
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.key() == other.key()
+        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, e={self.edge_count()})"

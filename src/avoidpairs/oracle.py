@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .canon import _encode, _twins, canonical_rows, root_partition
@@ -48,7 +47,6 @@ def _twin_steps(rows: tuple[int, ...]) -> list[tuple[int, int]]:
     return steps
 
 
-@lru_cache(maxsize=None)
 def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
     """Every isomorphism class on n vertices with e_lo <= e <= e_hi edges, as
     canonical rows sorted by the upper-triangle encoding (graph6 order).
@@ -114,7 +112,6 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
             tops = sum(1 << v for v in range(k) if deg[v] == top)
             d_lo = max(top, e_lo - cap_after - e_parent)
             d_hi = e_hi - e_parent
-            orbits: list[int] = []
             for mask in range(1 << k):
                 d = mask.bit_count()
                 if (not d_lo <= d <= d_hi or d == top and mask & tops
@@ -124,7 +121,7 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
                 root = root_partition(child, k + 1)
                 if k not in root[-1]:
                     continue
-                form = canonical_rows(child, k + 1, orbits=orbits, root=root)
+                form, orbits = canonical_rows(child, k + 1, root)
                 if orbits[k] == k:
                     children.add(form)
             nxt.extend(children)
@@ -158,7 +155,7 @@ def enumerate_graphs(n: int, e: int, query_guard: int = DEFAULT_QUERY_GUARD) -> 
 
 def class_counts(n: int) -> dict[int, int]:
     """Isomorphism-class counts on n vertices keyed by edge count, bucketed
-    from the same full level an S_n sweep builds."""
+    from one build of the full level on n vertices."""
     _refuse_above(n, SWEEP_GUARD, "class count")
     counts = Counter(_edge_count(rows) for rows in _all_classes(n, 0, binom2(n)))
     return dict(sorted(counts.items()))

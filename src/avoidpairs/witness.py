@@ -186,8 +186,9 @@ def verify_witness(w: WitnessGraph, pair: PairMF) -> WitnessVerdict:
 def exhaustive_arrow_check(
     g: Graph, pair: PairMF, subset_guard: int = DEFAULT_SUBSET_GUARD
 ) -> bool:
-    """True iff some pair.m-subset of g induces exactly pair.f edges, by full
-    subset enumeration; refuses when comb(n, m) exceeds the guard."""
+    """True iff some pair.m-subset of g induces exactly pair.f edges, by the
+    pruned depth-first subset search; refuses when comb(n, m), which bounds
+    that search's leaves, exceeds the guard."""
     if pair.m > g.n:
         return False
     work = math.comb(g.n, pair.m)

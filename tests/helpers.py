@@ -14,12 +14,12 @@ from avoidpairs.graphs import Graph
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, list(canonical_rows(tuple(g.rows), g.n)))
+    return Graph(g.n, list(canonical_rows(tuple(g.rows), g.n)[0]))
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Hashable isomorphism invariant: (n, canonical adjacency rows)."""
-    return (g.n, canonical_rows(tuple(g.rows), g.n))
+    return (g.n, canonical_rows(tuple(g.rows), g.n)[0])
 
 
 def induced_size_set(g: Graph, m: int) -> frozenset[int]:
@@ -157,7 +157,7 @@ def labeled_class_counts(n: int) -> dict[int, int]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         e = sum(r.bit_count() for r in rows) // 2
-        seen.setdefault(e, set()).add(canonical_rows(tuple(rows), n))
+        seen.setdefault(e, set()).add(canonical_rows(tuple(rows), n)[0])
     return {e: len(forms) for e, forms in sorted(seen.items())}
 
 
@@ -178,6 +178,6 @@ def classes_by_set_dedup(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...],
                 if e_child > e_hi or e_child + cap_after < e_lo:
                     continue
                 child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(parent)) + (mask,)
-                nxt.add(canonical_rows(child, k + 1))
+                nxt.add(canonical_rows(child, k + 1)[0])
         level = nxt
     return tuple(sorted(level, key=lambda rows: _encode(rows, list(range(n)))))

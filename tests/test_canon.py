@@ -3,6 +3,10 @@ behavior on high-symmetry graphs."""
 
 import random
 
+import pytest
+
+from avoidpairs.canon import canonical_rows
+from avoidpairs.errors import DomainError
 from avoidpairs.graphs import Graph
 
 from helpers import canonical_graph, canonical_key
@@ -62,3 +66,12 @@ def test_high_symmetry_graphs_are_fast_and_stable():
         key = canonical_key(g)
         perm = [3, 1, 4, 0, 6, 2, 7, 5]
         assert canonical_key(_permuted(g, perm)) == key
+
+
+def test_empty_single_vertex_and_oversized_inputs():
+    # the n == 0 and n > 16 guards run before the root partition, which
+    # cannot refine an empty vertex set
+    assert canonical_rows((), 0) == ((), [])
+    assert canonical_rows((0,), 1) == ((0,), [0])
+    with pytest.raises(DomainError):
+        canonical_rows((0,) * 17, 17)

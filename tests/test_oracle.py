@@ -40,7 +40,7 @@ def test_single_edge_count_examples():
 
 def test_enumeration_is_deterministic_and_guarded():
     graphs = list(enumerate_graphs(6, 7))
-    assert [g.key() for g in graphs] == [g.key() for g in enumerate_graphs(6, 7)]
+    assert [g.rows for g in graphs] == [g.rows for g in enumerate_graphs(6, 7)]
     # equal-length graph6 strings sort like their upper-triangle bits
     codes = [to_graph6(g) for g in graphs]
     assert codes == sorted(codes)
@@ -52,7 +52,7 @@ def test_enumeration_is_deterministic_and_guarded():
 
 def test_windowed_enumeration_agrees_with_full_cache():
     # the (e, e) window against the e-bucket of the full level, which an
-    # S_n sweep builds and caches
+    # S_n sweep builds
     for n, e in [(5, 4), (6, 7), (7, 0), (7, 21), (6, 15), (8, 3), (8, 14)]:
         full = _all_classes(n, 0, binom2(n))
         bucket = [rows for rows in full if sum(r.bit_count() for r in rows) == 2 * e]
@@ -93,7 +93,7 @@ def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
         return labelling(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "canonical_rows", counted)
-    level = _all_classes.__wrapped__(7, 0, binom2(7))
+    level = _all_classes(7, 0, binom2(7))
     assert len(level) == 1044
     assert len(calls) == 1525
     assert len({args[0] for args in calls}) == len(calls)

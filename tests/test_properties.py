@@ -1,8 +1,8 @@
 """Property tests: the surd floor against integer bisection, the floor
 decision against the linear reference, the scan-t4 line format against the
 JSON encoder, the graph6 round trip and its refusal of malformed text, and
-canonical labelling (plain and pointed) under relabelling and the
-automorphisms it records, over inputs drawn by hypothesis."""
+canonical labelling under relabelling and the automorphisms it records, over
+inputs drawn by hypothesis."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidpairs.canon import canonical_order_rows, canonical_rows
+from avoidpairs.canon import canonical_order_rows, canonical_rows, root_partition
 from avoidpairs.cli import dump_json, scan_t4_line
 from avoidpairs.criterion import (
     PairMF,
@@ -106,61 +106,30 @@ def test_from_graph6_returns_a_graph_or_raises_domain_error(text):
 
 
 @st.composite
-def relabelled_graphs(draw, max_n=8):
+def small_graphs(draw, max_n=8):
     n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    edges = [uv for i, uv in enumerate(pairs) if mask >> i & 1]
-    perm = draw(st.permutations(range(n)))
-    return (Graph.from_edges(n, edges),
-            Graph.from_edges(n, ((perm[u], perm[v]) for u, v in edges)))
+    return Graph.from_edges(n, (uv for i, uv in enumerate(pairs) if mask >> i & 1))
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=8):
+    g = draw(small_graphs(max_n))
+    perm = draw(st.permutations(range(g.n)))
+    return g, Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
 
 
 @given(relabelled_graphs())
 @settings(max_examples=300, deadline=None)
 def test_canonical_rows_invariant_under_relabelling(gh):
     g, h = gh
-    assert canonical_rows(tuple(g.rows), g.n) == canonical_rows(tuple(h.rows), h.n)
+    assert canonical_rows(tuple(g.rows), g.n)[0] == canonical_rows(tuple(h.rows), h.n)[0]
 
 
-@st.composite
-def pointed_graphs(draw, max_n=7):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    g = Graph.from_edges(n, (uv for i, uv in enumerate(pairs) if mask >> i & 1))
-    return g, draw(st.integers(0, n - 1)), draw(st.permutations(range(n)))
-
-
-@given(pointed_graphs())
-@settings(max_examples=300, deadline=None)
-def test_pointed_form_invariant_under_relabelling(gvp):
-    g, v, perm = gvp
-    h = Graph.from_edges(g.n, ((perm[a], perm[b]) for a, b in g.edges()))
-    assert (canonical_rows(tuple(g.rows), g.n, first=v)
-            == canonical_rows(tuple(h.rows), h.n, first=perm[v]))
-
-
-@given(pointed_graphs(max_n=6), st.data())
+@given(small_graphs(max_n=6))
 @settings(max_examples=200, deadline=None)
-def test_pointed_forms_are_equal_exactly_on_orbits(gvp, data):
-    g, v, _ = gvp
-    w = data.draw(st.integers(0, g.n - 1))
-    rows = tuple(g.rows)
-    edges = set(g.edges())
-    same_orbit = any(
-        p[v] == w and {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
-        for p in itertools.permutations(range(g.n))
-    )
-    equal = canonical_rows(rows, g.n, first=v) == canonical_rows(rows, g.n, first=w)
-    assert equal == same_orbit
-
-
-@given(pointed_graphs(max_n=6), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_recorded_automorphisms_give_the_brute_force_orbits(gvp, pointed):
-    g, v, _ = gvp
-    first = v if pointed else None
+def test_recorded_automorphisms_give_the_brute_force_orbits(g):
     rows = tuple(g.rows)
     edges = {tuple(sorted(uv)) for uv in g.edges()}
 
@@ -168,15 +137,12 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(gvp, pointed):
         return {tuple(sorted((p[a], p[b]))) for a, b in edges}
 
     generators = []
-    order = canonical_order_rows(rows, g.n, first, generators=generators)
+    order = canonical_order_rows(rows, g.n, root_partition(rows, g.n), generators)
     for p in generators:
         assert image_edges(p) == edges
-        assert first is None or p[first] == first
-    group = [p for p in itertools.permutations(range(g.n))
-             if image_edges(p) == edges and (first is None or p[first] == first)]
+    group = [p for p in itertools.permutations(range(g.n)) if image_edges(p) == edges]
     pos = {u: i for i, u in enumerate(order)}
-    orbits = []
-    canonical_rows(rows, g.n, first, orbits=orbits)
+    _, orbits = canonical_rows(rows, g.n)
     for u in range(g.n):
         orbit = {p[u] for p in group}
         assert {w for w in range(g.n) if orbits[w] == orbits[u]} == orbit

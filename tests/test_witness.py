@@ -78,10 +78,10 @@ def test_builder_soundness_and_determinism():
             clique = sorted(w1.clique_vertices)
             for i, u in enumerate(clique):
                 for v in clique[i + 1 :]:
-                    assert s.has_edge(u, v)
+                    assert s.rows[u] >> v & 1
             for u in w1.clique_vertices:
                 for v in w1.girth_part:
-                    assert not s.has_edge(u, v)
+                    assert not s.rows[u] >> v & 1
 
 
 def test_verify_witness_pass_and_failures():
@@ -94,7 +94,7 @@ def test_verify_witness_pass_and_failures():
     # inject a cross edge: structural failure is named
     g = w.graph.copy()
     u = min(w.clique_vertices)
-    v = min(x for x in w.girth_part if not g.has_edge(u, x))
+    v = min(x for x in w.girth_part if not g.rows[u] >> x & 1)
     g.add_edge(u, v)
     tampered = WitnessGraph(g, w.clique_vertices, w.girth_part, w.girth_bound, w.complemented)
     verdict = verify_witness(tampered, PairMF(40, 390))
@@ -109,7 +109,7 @@ def test_verify_witness_pass_and_failures():
     sub = Graph(len(part))
     for i, u in enumerate(part):
         for j in range(i + 1, len(part)):
-            if short.graph.has_edge(u, part[j]):
+            if short.graph.rows[u] >> part[j] & 1:
                 sub.add_edge(i, j)
     assert girth(sub) == math.inf
 
