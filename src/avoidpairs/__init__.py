@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "witness": (
         "Infeasible", "WitnessGraph", "WitnessVerdict", "build_witness",
-        "build_witness_or_complement", "exhaustive_arrow_check", "verify_witness",
+        "build_witness_or_complement", "verify_witness",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -36,14 +36,6 @@ class Graph:
             g.add_edge(u, v)
         return g
 
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
-
-    def copy(self) -> "Graph":
-        return Graph(self.n, self.rows)
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise DomainError(f"vertex {v} out of range [0, {self.n})")
@@ -55,10 +47,6 @@ class Graph:
             raise DomainError(f"self-loop at vertex {u} rejected")
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.rows[v].bit_count()
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2

@@ -19,11 +19,7 @@ from .graphs import Graph, girth, to_graph6
 DEFAULT_QUERY_GUARD = 10  # single (n, e) enumeration
 SWEEP_GUARD = 9           # full levels: S_n sweeps and class counts
 ORACLE_MAX_M = 12
-
-
-def class_count_estimate(n: int) -> int:
-    """Rough isomorphism-class count, 2^binom2(n) / n!."""
-    return max(1, (1 << binom2(n)) // math.factorial(n))
+SUBSET_GUARD = 10**8      # comb(n, m) bounds the leaves of one subset search
 
 
 def _extend(parent: tuple[int, ...], mask: int) -> tuple[int, ...]:
@@ -132,10 +128,7 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
 
 def _refuse_above(n: int, guard: int, what: str) -> None:
     if n > guard:
-        raise GuardError(
-            f"{what} guard: n={n} exceeds {guard} "
-            f"(roughly {class_count_estimate(n):.3g} classes)"
-        )
+        raise GuardError(f"{what} guard: n={n} exceeds {guard}")
 
 
 def enumerate_graphs(n: int, e: int, query_guard: int = DEFAULT_QUERY_GUARD) -> Iterator[Graph]:
@@ -188,9 +181,16 @@ def _has_induced_size(rows: list[int] | tuple[int, ...], n: int, m: int, f: int)
 
 
 def arrows(g: Graph, pair: PairMF) -> bool:
-    """True iff g has an induced subgraph on pair.m vertices with pair.f edges."""
+    """True iff g has an induced subgraph on pair.m vertices with pair.f edges
+    (False when pair.m > g.n).  Refuses when comb(n, m), which bounds the
+    leaves of the subset search, exceeds SUBSET_GUARD."""
     if pair.m > g.n:
-        raise DomainError(f"arrows needs pair.m <= n, got m={pair.m} > n={g.n}")
+        return False
+    work = math.comb(g.n, pair.m)
+    if work > SUBSET_GUARD:
+        raise GuardError(
+            f"subset enumeration guard: C({g.n}, {pair.m}) = {work:.4g} > {SUBSET_GUARD:g}"
+        )
     return _has_induced_size(g.rows, g.n, pair.m, pair.f)
 
 
@@ -261,16 +261,16 @@ def compute_S_n(n: int, pair: PairMF) -> ArrowReport:
 # Explicit clique-plus-forest oracle (independent of the floor criterion)
 
 
-def clique_forest_oracle(pair: PairMF, max_m: int = ORACLE_MAX_M) -> bool:
+def clique_forest_oracle(pair: PairMF) -> bool:
     """True iff some explicit clique-plus-forest graph realizes the pair.
 
     Enumerates every clique size x and builds an actual star forest with the
     remaining edge budget, verifying acyclicity and the total count on the
     constructed graph.  Deliberately shares no code with the floor bounds."""
     m, f = pair.m, pair.f
-    if m > max_m:
+    if m > ORACLE_MAX_M:
         raise GuardError(
-            f"explicit oracle is exponential-free but still guarded to m <= {max_m}; "
+            f"explicit oracle is exponential-free but still guarded to m <= {ORACLE_MAX_M}; "
             f"got m={m} (use the criterion module beyond)"
         )
     for x in range(m + 1):

@@ -1,25 +1,21 @@
-"""Witness graphs: a clique joined with a girth-bounded part, their structural
-verification, and the exhaustive arrowing check that validates certificates at
-small scale.
+"""Witness graphs: a clique joined with a girth-bounded part, and their
+structural verification.
 
 A verified witness with girth bound above m, whose pair (or complement pair,
 for complemented witnesses) is clique-plus-forest impossible, shows the graph
 does not arrow the pair without enumerating subsets: every induced subgraph on
 at most m vertices of a clique-plus-high-girth graph is a clique plus forest.
+At small scale, oracle.arrows checks the same claim by subset search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .criterion import CliqueForestCert, Impossible, PairMF, clique_forest_realizable
-from .errors import DomainError, GuardError
+from .errors import DomainError
 from .exactarith import binom2, isqrt
 from .graphs import Graph, girth, induced_subgraph
-from .oracle import _has_induced_size
-
-DEFAULT_SUBSET_GUARD = 10**8
 
 
 @dataclass(frozen=True)
@@ -182,18 +178,3 @@ def verify_witness(w: WitnessGraph, pair: PairMF) -> WitnessVerdict:
         failures.append("realizable")
     return WitnessVerdict(passed=not failures, failures=tuple(failures), realizability=cert)
 
-
-def exhaustive_arrow_check(
-    g: Graph, pair: PairMF, subset_guard: int = DEFAULT_SUBSET_GUARD
-) -> bool:
-    """True iff some pair.m-subset of g induces exactly pair.f edges, by the
-    pruned depth-first subset search; refuses when comb(n, m), which bounds
-    that search's leaves, exceeds the guard."""
-    if pair.m > g.n:
-        return False
-    work = math.comb(g.n, pair.m)
-    if work > subset_guard:
-        raise GuardError(
-            f"subset enumeration guard: C({g.n}, {pair.m}) = {work:.4g} > {subset_guard:g}"
-        )
-    return _has_induced_size(g.rows, g.n, pair.m, pair.f)

@@ -61,7 +61,7 @@ def test_canonical_form_is_idempotent():
 
 def test_high_symmetry_graphs_are_fast_and_stable():
     # twin collapsing keeps these from exploding; keys must still be invariant
-    for g in (Graph(8), Graph.complete(8),
+    for g in (Graph(8), Graph(8).complement(),
               Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])):
         key = canonical_key(g)
         perm = [3, 1, 4, 0, 6, 2, 7, 5]

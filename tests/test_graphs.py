@@ -52,7 +52,7 @@ def test_graph_basics():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert g.edge_count() == 2
     assert g.rows[0] >> 1 & 1 and not g.rows[0] >> 2 & 1
-    assert g.degree(1) == 2
+    assert g.rows[1].bit_count() == 2
     assert sorted(g.edges()) == [(0, 1), (1, 2)]
     with pytest.raises(DomainError):
         g.add_edge(1, 1)
@@ -65,13 +65,12 @@ def test_complement_involution():
     for _ in range(50):
         g = _random_graph(rng, rng.randrange(1, 10))
         assert g.complement().complement() == g
-    k4 = Graph.complete(4)
-    assert k4.complement().edge_count() == 0
+    assert Graph(4).complement().edge_count() == 6
 
 
 def test_graph6_known_values():
     assert to_graph6(Graph.from_edges(2, [(0, 1)])) == "A_"
-    assert to_graph6(Graph.complete(3)) == "Bw"
+    assert to_graph6(Graph(3).complement()) == "Bw"
     assert to_graph6(Graph(1)) == "@"
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert from_graph6(to_graph6(p3)) == p3
@@ -123,12 +122,12 @@ def test_graph6_rejects_padding_bad_bytes_and_long_bodies():
 
 
 def test_girth_examples():
-    assert girth(Graph.complete(3)) == 3
+    assert girth(Graph(3).complement()) == 3
     tree = Graph.from_edges(10, [(0, i) for i in range(1, 10)])
     assert girth(tree) == math.inf
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert girth(c5) == 5
-    chorded = c5.copy()
+    chorded = Graph(c5.n, c5.rows)
     chorded.add_edge(1, 3)
     assert girth(chorded) == 3
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

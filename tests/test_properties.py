@@ -1,8 +1,9 @@
 """Property tests: the surd floor against integer bisection, the floor
 decision against the linear reference, the scan-t4 line format against the
-JSON encoder, the graph6 round trip and its refusal of malformed text, and
-canonical labelling under relabelling and the automorphisms it records, over
-inputs drawn by hypothesis."""
+JSON encoder, the graph6 round trip and its refusal of malformed text,
+canonical labelling under relabelling and the automorphisms it records, and
+the arrowing decision against the full induced-size set, over inputs drawn by
+hypothesis."""
 
 import itertools
 import random
@@ -21,7 +22,8 @@ from avoidpairs.criterion import (
 from avoidpairs.errors import DomainError
 from avoidpairs.exactarith import binom2, surd_floor
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
-from helpers import smallest_clique_size_linear
+from avoidpairs.oracle import arrows
+from helpers import induced_size_set, smallest_clique_size_linear
 
 
 def surd_floor_bisection(c, d):
@@ -147,3 +149,12 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(g):
         orbit = {p[u] for p in group}
         assert {w for w in range(g.n) if orbits[w] == orbits[u]} == orbit
         assert orbits[u] == max(pos[w] for w in orbit)
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_arrows_matches_the_induced_size_set(g, data):
+    # m runs past n, where no m-subset exists and the answer is False
+    m = data.draw(st.integers(1, g.n + 2))
+    f = data.draw(st.integers(0, binom2(m)))
+    assert arrows(g, PairMF(m, f)) == (m <= g.n and f in induced_size_set(g, m))

@@ -65,6 +65,16 @@ def test_criterion_cert_executes_only_criterion_and_its_imports():
     assert executed & untouched == set()
 
 
+def test_witness_build_executes_neither_oracle_nor_canon():
+    executed = executed_modules(
+        "from avoidpairs.cli import main\n"
+        "assert main(['witness', 'build', '--n', '30', '--e', '20', '--p', '6',"
+        " '--pair', '5,5']) == 0"
+    )
+    assert "avoidpairs.witness" in executed
+    assert executed & {"avoidpairs.oracle", "avoidpairs.canon"} == set()
+
+
 def test_import_package_executes_no_submodule():
     executed = executed_modules("import avoidpairs")
     assert {name for name in executed if name.startswith("avoidpairs.")} == set()

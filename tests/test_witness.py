@@ -1,4 +1,5 @@
-"""Witness construction, structural verification, and the exhaustive check."""
+"""Witness construction, structural verification, and agreement with the
+exhaustive arrowing decision."""
 
 import math
 
@@ -8,12 +9,12 @@ from avoidpairs.criterion import PairMF
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph, girth
+from avoidpairs.oracle import arrows
 from avoidpairs.witness import (
     Infeasible,
     WitnessGraph,
     build_witness,
     build_witness_or_complement,
-    exhaustive_arrow_check,
     verify_witness,
 )
 
@@ -22,11 +23,11 @@ def test_clique_size_rule():
     w = build_witness(10, 3, 10)
     assert w.clique_vertices == frozenset({0, 1, 2})  # binom2(3) = 3 <= 3 <= binom2(4)-1
     assert w.graph.edge_count() == 3
-    assert all(w.graph.degree(v) == 0 for v in w.girth_part)
+    assert all(w.graph.rows[v].bit_count() == 0 for v in w.girth_part)
 
     w = build_witness(10, 45, 5)
     assert len(w.clique_vertices) == 10 and not w.girth_part
-    assert w.graph == Graph.complete(10)
+    assert w.graph == Graph(10).complement()
 
     w = build_witness(8, 21, 8)
     assert len(w.clique_vertices) == 7
@@ -53,7 +54,7 @@ def test_or_complement_rule():
     assert not w.complemented and w.graph.edge_count() == 0
 
     w = build_witness_or_complement(12, 66, 5)
-    assert w.complemented and w.graph == Graph.complete(12)
+    assert w.complemented and w.graph == Graph(12).complement()
 
 
 def test_honest_infeasibility():
@@ -92,7 +93,7 @@ def test_verify_witness_pass_and_failures():
     assert not bad_pair.passed and bad_pair.failures == ("realizable",)
 
     # inject a cross edge: structural failure is named
-    g = w.graph.copy()
+    g = Graph(w.graph.n, w.graph.rows)
     u = min(w.clique_vertices)
     v = min(x for x in w.girth_part if not g.rows[u] >> x & 1)
     g.add_edge(u, v)
@@ -115,7 +116,7 @@ def test_verify_witness_pass_and_failures():
 
 
 def test_verify_witness_flags_broken_partition_and_clique():
-    g = Graph.complete(6)
+    g = Graph(6).complement()
     w = WitnessGraph(g, frozenset({0, 1}), frozenset({3, 4, 5}), 6, False)
     verdict = verify_witness(w, PairMF(5, 5))
     assert "partition" in verdict.failures
@@ -134,13 +135,13 @@ def test_complemented_witness_verifies_against_complement_pair():
 
 
 def test_exhaustive_arrow_check():
-    assert exhaustive_arrow_check(Graph.complete(4), PairMF(3, 3))
+    assert arrows(Graph(4).complement(), PairMF(3, 3))
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert exhaustive_arrow_check(c5, PairMF(3, 1))
-    assert not exhaustive_arrow_check(Graph(6), PairMF(3, 1))
-    assert not exhaustive_arrow_check(Graph(3), PairMF(5, 2))  # m > n
+    assert arrows(c5, PairMF(3, 1))
+    assert not arrows(Graph(6), PairMF(3, 1))
+    assert not arrows(Graph(3), PairMF(5, 2))  # m > n
     with pytest.raises(GuardError):
-        exhaustive_arrow_check(Graph(64), PairMF(32, 100))
+        arrows(Graph(64), PairMF(32, 100))  # C(64, 32) > SUBSET_GUARD
 
 
 def test_certified_nonarrowing_matches_exhaustive_check():
@@ -151,7 +152,7 @@ def test_certified_nonarrowing_matches_exhaustive_check():
             continue
         verdict = verify_witness(w, pair)
         assert verdict.passed
-        assert not exhaustive_arrow_check(w.graph, pair)
+        assert not arrows(w.graph, pair)
 
 
 def test_verified_witnesses_never_arrow_the_certified_pair():
@@ -165,5 +166,5 @@ def test_verified_witnesses_never_arrow_the_certified_pair():
                 continue
             built += 1
             assert verify_witness(w, pair).passed, (n, e)
-            assert not exhaustive_arrow_check(w.graph, pair), (n, e)
+            assert not arrows(w.graph, pair), (n, e)
     assert built >= 269  # of 298; the rest are honest Infeasible results
