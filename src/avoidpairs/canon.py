@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from .errors import DomainError
 
+MAX_N = 16  # a neighbor count is packed in 4 bits
+
 
 def _refine(
     rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]
@@ -97,12 +99,12 @@ def canonical_order_rows(
     rows: tuple[int, ...], n: int, root: list[list[int]], generators: list[list[int]]
 ) -> list[int]:
     """A relabeling (new index -> old vertex) realizing the canonical form,
-    searched from ``root`` = root_partition(rows, n), for 1 <= n <= 16.
+    searched from ``root`` = root_partition(rows, n), for 1 <= n <= MAX_N.
 
     Every automorphism the search meets is appended to ``generators`` as a
     list (vertex -> image): each leaf whose encoding equals the best so far,
     mapped from the best leaf, and each twin swap the search skips.  Together
-    they generate the automorphism group (oracle._all_classes gives the
+    they generate the automorphism group (oracle._classes gives the
     proof)."""
     best_enc = 1 << n * (n - 1) // 2  # above every encoding
     best_order: list[int] = list(range(n))
@@ -162,15 +164,16 @@ def _orbits(generators: list[list[int]], pos: list[int]) -> list[int]:
 
 def canonical_rows(
     rows: tuple[int, ...], n: int, root: list[list[int]] | None = None
-) -> tuple[tuple[int, ...], list[int]]:
-    """Adjacency rows of the canonically labeled graph, and its vertex orbits:
-    orbits[v] is the largest canonical index in v's orbit, so
+) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """Adjacency rows of the canonically labeled graph, its vertex orbits, and
+    generators of its automorphism group in the input's labels (vertex ->
+    image): orbits[v] is the largest canonical index in v's orbit, so
     orbits[v] == n - 1 iff v is in the orbit of the canonically last vertex.
     ``root`` may pass root_partition(rows, n) when the caller has it."""
-    if n > 16:
-        raise DomainError(f"canonical labeling supports n <= 16, got {n}")
+    if n > MAX_N:
+        raise DomainError(f"canonical labeling supports n <= {MAX_N}, got {n}")
     if n == 0:
-        return (), []
+        return (), [], []
     if root is None:
         root = root_partition(rows, n)
     generators: list[list[int]] = []
@@ -186,4 +189,4 @@ def canonical_rows(
             b = r & -r
             out[nu] |= 1 << pos[b.bit_length() - 1]
             r ^= b
-    return tuple(out), _orbits(generators, pos)
+    return tuple(out), _orbits(generators, pos), generators

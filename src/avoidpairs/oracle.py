@@ -6,46 +6,41 @@ clique-plus-forest realization oracle independent of the floor criterion.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import _encode, _twins, canonical_rows, root_partition
+from .canon import MAX_N, _encode, canonical_rows, root_partition
 from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
 from .graphs import Graph, girth, to_graph6
 
 DEFAULT_QUERY_GUARD = 10  # single (n, e) enumeration
-SWEEP_GUARD = 9           # full levels: S_n sweeps and class counts
+SWEEP_GUARD = 9           # full levels: S_n sweeps
 ORACLE_MAX_M = 12
 SUBSET_GUARD = 10**8      # comb(n, m) bounds the leaves of one subset search
 
 
-def _extend(parent: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    k = len(parent)
-    return tuple(parent[i] | ((mask >> i & 1) << k) for i in range(k)) + (mask,)
+def _mask_orbit(mask: int, generators: list[list[int]]) -> set[int]:
+    """The orbit of a vertex set mask under the group the generators generate."""
+    orbit, todo = {mask}, [mask]
+    while todo:
+        m = todo.pop()
+        for image in generators:
+            out, bits = 0, m
+            while bits:
+                low = bits & -bits
+                out |= 1 << image[low.bit_length() - 1]
+                bits ^= low
+            if out not in orbit:
+                orbit.add(out)
+                todo.append(out)
+    return orbit
 
 
-def _edge_count(rows: tuple[int, ...]) -> int:
-    return sum(r.bit_count() for r in rows) // 2
-
-
-def _twin_steps(rows: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(u, w) for each vertex w with a twin u < w, u the largest such: masks
-    whose bits on every twin class form a prefix of the class reach every
-    child up to an automorphism of the parent."""
-    steps = []
-    for w in range(len(rows)):
-        u = next((u for u in range(w - 1, -1, -1) if _twins(rows, u, w)), None)
-        if u is not None:
-            steps.append((u, w))
-    return steps
-
-
-def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
-    """Every isomorphism class on n vertices with e_lo <= e <= e_hi edges, as
-    canonical rows sorted by the upper-triangle encoding (graph6 order).
+def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
+    """Yield each isomorphism class on n >= 1 vertices with e_lo <= e <= e_hi
+    edges once, as canonical rows, depth first (not in graph6 order).
 
     Built by canonical augmentation (McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998).  The canonical deletion orbit of a
@@ -56,8 +51,9 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
     image.  A child, parent + new vertex, is kept only if the new vertex lies
     in that orbit.  Cells of the root partition are unions of orbits, so a
     child whose new vertex is outside the last cell is rejected after one
-    refinement; the rest are labelled once, which gives both the canonical
-    form and the orbits.  The last cell holds only vertices of the largest
+    refinement; the rest are labelled once, which gives the canonical form,
+    the orbits, and the generators the child uses as a parent, in the labels
+    it was built with.  The last cell holds only vertices of the largest
     degree, so most children already fail on degree, which the parent's
     degrees and the mask decide without building the child.
     - Orbits: the automorphisms the labelling records, leaves tying the best
@@ -72,16 +68,16 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
       best leaf.  An automorphism is fixed by the image of one leaf, so g is
       a product of recorded generators.
     - Complete: for G on k+1 vertices and w in its canonical orbit, G - w is
-      isomorphic to one parent P of level k, and the matching mask on P gives
-      a child isomorphic to G whose new vertex is the image of w, so that
-      child is kept.  Permuting the mask within a twin class of P gives an
-      isomorphic child, so prefix masks on twin classes suffice.
-    - Unique up to siblings: if kept children of P and P' are isomorphic, an
-      isomorphism maps one new vertex into the other's orbit, so P and P'
-      are isomorphic, hence equal, as a level holds one graph per class.
-      Kept siblings can still be isomorphic (masks related by an
-      automorphism of P), so they are deduplicated per parent, by canonical
-      form, which is also the form a level keeps.
+      isomorphic to one parent P on k vertices, and the matching mask on P
+      gives a child isomorphic to G whose new vertex is the image of w.  Each
+      g in Aut(P), fixing the new vertex, maps that child onto the child of
+      g(mask), and keeps degrees, so P tries one mask per orbit of Aut(P) on
+      masks: the first that passes the degree tests; its child is kept.
+    - Unique: if kept children of P and P' are isomorphic, an isomorphism
+      maps one new vertex into the other's canonical orbit; composed with an
+      automorphism of the image it fixes the new vertex.  So P and P' are
+      isomorphic, hence equal, and it maps one mask onto the other in
+      Aut(P): the two masks share an orbit, of which P tried only one.
     A child on k+1 vertices is kept only if the window is still reachable
     from it: at most e_hi edges, and at least e_lo once every edge outside
     its k+1 vertices is added.  The chain of canonical deletions from a graph
@@ -89,46 +85,48 @@ def _all_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
     tests, so the pruning loses no class; on the last vertex the two tests
     are the window itself.  At n = 1 the window must contain 0.
     """
+    total = binom2(n)
+
+    def grow(rows: tuple[int, ...], form: tuple[int, ...], generators: list[list[int]]):
+        k = len(rows)
+        if k == n:
+            yield form
+            return
+        cap_after = total - binom2(k + 1)  # edges still addable beyond k+1 vertices
+        deg = [r.bit_count() for r in rows]
+        e_parent = sum(deg) // 2
+        # the new vertex takes the largest degree d = |mask|, so d >= top and
+        # the parent's vertices of degree top stay out of the mask when d = top
+        top = max(deg)
+        tops = sum(1 << v for v in range(k) if deg[v] == top)
+        d_lo = max(top, e_lo - cap_after - e_parent)
+        d_hi = e_hi - e_parent
+        seen: set[int] = set()
+        for mask in range(1 << k):
+            d = mask.bit_count()
+            if not d_lo <= d <= d_hi or d == top and mask & tops or mask in seen:
+                continue
+            seen |= _mask_orbit(mask, generators)
+            child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(rows)) + (mask,)
+            root = root_partition(child, k + 1)
+            if k not in root[-1]:
+                continue
+            child_form, orbits, child_generators = canonical_rows(child, k + 1, root)
+            if orbits[k] == k:
+                yield from grow(child, child_form, child_generators)
+
+    yield from grow((0,), (0,), [])
+
+
+def _refuse_query(n: int, e: int, query_guard: int) -> None:
+    """The refusals of a single (n, e) query, in order."""
     if n < 1:
         raise DomainError(f"enumeration needs n >= 1, got {n}")
-    total = binom2(n)
-    level: list[tuple[int, ...]] = [(0,)]
-    for k in range(1, n):
-        cap_after = total - binom2(k + 1)  # edges still addable beyond k+1 vertices
-        nxt: list[tuple[int, ...]] = []
-        for parent in level:
-            deg = [r.bit_count() for r in parent]
-            e_parent = sum(deg) // 2
-            steps = _twin_steps(parent)
-            children: set[tuple[int, ...]] = set()
-            # the new vertex takes the largest degree d = |mask|, so
-            # d >= top and the parent's vertices of degree top stay out of
-            # the mask when d = top
-            top = max(deg)
-            tops = sum(1 << v for v in range(k) if deg[v] == top)
-            d_lo = max(top, e_lo - cap_after - e_parent)
-            d_hi = e_hi - e_parent
-            for mask in range(1 << k):
-                d = mask.bit_count()
-                if (not d_lo <= d <= d_hi or d == top and mask & tops
-                        or any(mask >> w & 1 > mask >> u & 1 for u, w in steps)):
-                    continue
-                child = _extend(parent, mask)
-                root = root_partition(child, k + 1)
-                if k not in root[-1]:
-                    continue
-                form, orbits = canonical_rows(child, k + 1, root)
-                if orbits[k] == k:
-                    children.add(form)
-            nxt.extend(children)
-        level = nxt
-    identity = list(range(n))
-    return tuple(sorted(level, key=lambda rs: _encode(rs, identity)))
-
-
-def _refuse_above(n: int, guard: int, what: str) -> None:
+    if not 0 <= e <= binom2(n):
+        raise DomainError(f"edge count must satisfy 0 <= e <= {binom2(n)}, got {e}")
+    guard = min(query_guard, MAX_N)  # canonical labelling stops at MAX_N
     if n > guard:
-        raise GuardError(f"{what} guard: n={n} exceeds {guard}")
+        raise GuardError(f"enumeration guard: n={n} exceeds {guard}")
 
 
 def enumerate_graphs(n: int, e: int, query_guard: int = DEFAULT_QUERY_GUARD) -> Iterator[Graph]:
@@ -136,22 +134,11 @@ def enumerate_graphs(n: int, e: int, query_guard: int = DEFAULT_QUERY_GUARD) -> 
     in canonical (graph6) order.
 
     Only the edge window (e, e) is built, at every n, so a query never pays
-    for the classes of other edge counts."""
-    if n < 1:
-        raise DomainError(f"enumeration needs n >= 1, got {n}")
-    if not 0 <= e <= binom2(n):
-        raise DomainError(f"edge count must satisfy 0 <= e <= {binom2(n)}, got {e}")
-    _refuse_above(n, query_guard, "enumeration")
-    for rows in _all_classes(n, e, e):
+    for the classes of other edge counts; the window is sorted once built."""
+    _refuse_query(n, e, query_guard)
+    identity = list(range(n))
+    for rows in sorted(_classes(n, e, e), key=lambda rs: _encode(rs, identity)):
         yield Graph(n, list(rows))
-
-
-def class_counts(n: int) -> dict[int, int]:
-    """Isomorphism-class counts on n vertices keyed by edge count, bucketed
-    from one build of the full level on n vertices."""
-    _refuse_above(n, SWEEP_GUARD, "class count")
-    counts = Counter(_edge_count(rows) for rows in _all_classes(n, 0, binom2(n)))
-    return dict(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +190,35 @@ class ArrowVerdict:
     counterexample: Graph | None
 
 
+def _least_failures(n: int, e_lo: int, e_hi: int, pair: PairMF) -> dict[int, Graph]:
+    """By e in increasing order, the class that fails to arrow the pair with
+    the least canonical encoding (graph6 order).  A class is decided only when
+    it encodes below the least failure found so far at its e."""
+    identity = list(range(n))
+    least: dict[int, tuple[int, Graph]] = {}
+    for rows in _classes(n, e_lo, e_hi):
+        e = sum(r.bit_count() for r in rows) // 2
+        if e in least and _encode(rows, identity) > least[e][0]:
+            continue
+        g = Graph(n, list(rows))
+        if not arrows(g, pair):
+            least[e] = (_encode(rows, identity), g)
+    return {e: g for e, (_, g) in sorted(least.items())}
+
+
 def arrows_pair(
     n: int, e: int, pair: PairMF, query_guard: int = DEFAULT_QUERY_GUARD
 ) -> ArrowVerdict:
     """Does every graph with n vertices and e edges arrow the pair?
 
-    Classes are scanned in canonical order, so a returned counterexample is
-    the lexicographically least canonical form among the failures.
+    A returned counterexample is the lexicographically least canonical form
+    among the failures.
     """
     if pair.m > n:
         raise DomainError(f"pair order {pair.m} exceeds n={n}")
-    for g in enumerate_graphs(n, e, query_guard=query_guard):
-        if not arrows(g, pair):
-            return ArrowVerdict(n, e, pair, False, g)
-    return ArrowVerdict(n, e, pair, True, None)
+    _refuse_query(n, e, query_guard)
+    g = _least_failures(n, e, e, pair).get(e)
+    return ArrowVerdict(n, e, pair, g is None, g)
 
 
 @dataclass(frozen=True)
@@ -238,23 +240,18 @@ class ArrowReport:
 def compute_S_n(n: int, pair: PairMF) -> ArrowReport:
     """Full report over e in [0, binom2(n)], refused above n = SWEEP_GUARD.
 
-    The level on n vertices is built once and every class is decided in one
-    pass in graph6 order, so the first failure at each e is the least
-    canonical counterexample; once e has one, its later classes are skipped.
+    One stream over every class on n vertices decides the classes, and each
+    e not in S gets its least canonical counterexample.
     """
-    _refuse_above(n, SWEEP_GUARD, "S_n sweep")
+    if n > SWEEP_GUARD:
+        raise GuardError(f"S_n sweep guard: n={n} exceeds {SWEEP_GUARD}")
     if pair.m > n:
         raise DomainError(f"pair order {pair.m} exceeds n={n}")
     total = binom2(n)
-    counterexamples: dict[int, str] = {}
-    for rows in _all_classes(n, 0, total):
-        e = _edge_count(rows)
-        if e not in counterexamples:
-            g = Graph(n, list(rows))
-            if not arrows(g, pair):
-                counterexamples[e] = to_graph6(g)
-    S = tuple(e for e in range(total + 1) if e not in counterexamples)
-    return ArrowReport(n, pair, S, dict(sorted(counterexamples.items())), len(S) / (total + 1))
+    failures = _least_failures(n, 0, total, pair)
+    S = tuple(e for e in range(total + 1) if e not in failures)
+    counterexamples = {e: to_graph6(g) for e, g in failures.items()}
+    return ArrowReport(n, pair, S, counterexamples, len(S) / (total + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ itself does not need."""
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from avoidpairs.canon import _encode, canonical_rows
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph
+from avoidpairs.oracle import _classes
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -143,6 +146,22 @@ def first_persistent_m(records: list[dict]) -> int | None:
     return later[0] if later else None
 
 
+@functools.cache
+def sorted_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
+    """oracle._classes(n, e_lo, e_hi) in graph6 order, built once per test
+    session."""
+    identity = list(range(n))
+    return tuple(sorted(_classes(n, e_lo, e_hi), key=lambda rows: _encode(rows, identity)))
+
+
+def class_counts(n: int) -> dict[int, int]:
+    """Isomorphism-class counts on n vertices keyed by edge count, from the
+    full level on n vertices."""
+    counts = Counter(sum(r.bit_count() for r in rows) // 2
+                     for rows in sorted_classes(n, 0, binom2(n)))
+    return dict(sorted(counts.items()))
+
+
 def labeled_class_counts(n: int) -> dict[int, int]:
     """Independent recount: enumerate all labeled graphs on n vertices and
     deduplicate by canonical form.  Exponential; guarded to n <= 6."""
@@ -162,7 +181,7 @@ def labeled_class_counts(n: int) -> dict[int, int]:
 
 
 def classes_by_set_dedup(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
-    """Reference for oracle._all_classes: extend every class on k vertices by
+    """Reference for oracle._classes: extend every class on k vertices by
     every neighbor mask, label every child canonically and deduplicate in one
     set per level.  Children that can no longer reach the edge window are
     dropped, as there.  Canonical rows in graph6 order."""

@@ -23,7 +23,6 @@ from avoidpairs.exactarith import binom2, isqrt
 from avoidpairs.graphs import from_graph6
 from avoidpairs.oracle import (
     arrows,
-    class_counts,
     clique_forest_oracle,
     compute_S_n,
     enumerate_graphs,
@@ -34,7 +33,7 @@ from avoidpairs.witness import (
     build_witness_or_complement,
     verify_witness,
 )
-from helpers import induced_size_set, labeled_class_counts, xcheck_lr_equivalence
+from helpers import class_counts, induced_size_set, labeled_class_counts, xcheck_lr_equivalence
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

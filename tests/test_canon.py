@@ -71,7 +71,7 @@ def test_high_symmetry_graphs_are_fast_and_stable():
 def test_empty_single_vertex_and_oversized_inputs():
     # the n == 0 and n > 16 guards run before the root partition, which
     # cannot refine an empty vertex set
-    assert canonical_rows((), 0) == ((), [])
-    assert canonical_rows((0,), 1) == ((0,), [0])
+    assert canonical_rows((), 0) == ((), [], [])
+    assert canonical_rows((0,), 1) == ((0,), [0], [])
     with pytest.raises(DomainError):
         canonical_rows((0,) * 17, 17)

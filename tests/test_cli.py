@@ -236,6 +236,15 @@ def test_oracle_commands(capsys):
     assert code == EXIT_OK and rec["mismatches"] == []
 
 
+def test_query_above_the_labelling_limit_is_a_guard_refusal(capsys):
+    # canonical labelling stops at 16 vertices, so a larger --query-guard
+    # does not admit n = 17
+    code, out, err = run_cli(capsys, "oracle", "arrows", "--n", "17", "--e", "0",
+                             "--m", "3", "--f", "0", "--query-guard", "17")
+    [line] = err.splitlines()
+    assert code == EXIT_GUARD and out == "" and json.loads(line)["kind"] == "guard"
+
+
 def test_bipartite_realize_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "bipartite", "realize", "--m", "3", "--f", "4")
     assert code == EXIT_OK and "case 3" in out and "PASS" in out

@@ -2,6 +2,7 @@
 oracle against the criterion module."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -11,15 +12,20 @@ from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
 from avoidpairs.oracle import (
-    _all_classes,
+    _classes,
     arrows,
     arrows_pair,
-    class_counts,
     clique_forest_oracle,
     compute_S_n,
     enumerate_graphs,
 )
-from helpers import classes_by_set_dedup, induced_size_set, labeled_class_counts
+from helpers import (
+    class_counts,
+    classes_by_set_dedup,
+    induced_size_set,
+    labeled_class_counts,
+    sorted_classes,
+)
 
 KNOWN_TOTALS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -52,11 +58,11 @@ def test_enumeration_is_deterministic_and_guarded():
 
 def test_windowed_enumeration_agrees_with_full_cache():
     # the (e, e) window against the e-bucket of the full level, which an
-    # S_n sweep builds
+    # S_n sweep streams
     for n, e in [(5, 4), (6, 7), (7, 0), (7, 21), (6, 15), (8, 3), (8, 14)]:
-        full = _all_classes(n, 0, binom2(n))
-        bucket = [rows for rows in full if sum(r.bit_count() for r in rows) == 2 * e]
-        assert list(_all_classes(n, e, e)) == bucket
+        full = sorted_classes(n, 0, binom2(n))
+        bucket = tuple(rows for rows in full if sum(r.bit_count() for r in rows) == 2 * e)
+        assert sorted_classes(n, e, e) == bucket
 
 
 def test_canonical_augmentation_matches_set_dedup_reference():
@@ -69,22 +75,23 @@ def test_canonical_augmentation_matches_set_dedup_reference():
         for lo in range(binom2(n) + 1):
             for hi in range(lo, binom2(n) + 1):
                 want = tuple(rows for rows, e in zip(full, edges) if lo <= e <= hi)
-                assert _all_classes(n, lo, hi) == want, (n, lo, hi)
+                assert sorted_classes(n, lo, hi) == want, (n, lo, hi)
     for lo, hi in [(e, e) for e in range(binom2(7) + 1)] + [(0, binom2(7))]:
-        assert _all_classes(7, lo, hi) == classes_by_set_dedup(7, lo, hi), (lo, hi)
+        assert sorted_classes(7, lo, hi) == classes_by_set_dedup(7, lo, hi), (lo, hi)
 
 
 def test_level_8_bytes_are_pinned():
     # the classes on 8 vertices and their order, as graph6 lines
     digest = hashlib.sha256()
-    for rows in _all_classes(8, 0, binom2(8)):
+    for rows in sorted_classes(8, 0, binom2(8)):
         digest.update((to_graph6(Graph(8, list(rows))) + "\n").encode())
     assert digest.hexdigest() == "2415a1e55618d429e08e9b28ac59a8ea8e97f81ad24069d6fa3f383a7ce2a03c"
 
 
 def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
     # the count pins the build's work: candidates outside the last cell of
-    # the root partition are never labelled, and no candidate twice
+    # the root partition are never labelled, nor a second mask of one orbit
+    # of the parent's automorphisms, and no candidate twice
     calls = []
     labelling = oracle.canonical_rows
 
@@ -93,9 +100,9 @@ def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
         return labelling(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "canonical_rows", counted)
-    level = _all_classes(7, 0, binom2(7))
-    assert len(level) == 1044
-    assert len(calls) == 1525
+    level = list(_classes(7, 0, binom2(7)))
+    assert len(level) == len(set(level)) == 1044
+    assert len(calls) == 1253
     assert len({args[0] for args in calls}) == len(calls)
 
 
@@ -132,12 +139,32 @@ def test_arrows_pair_examples():
 
 
 def test_counterexample_is_least_canonical_form():
-    verdict = arrows_pair(5, 4, PairMF(3, 3))  # triangle-free graphs with 4 edges exist
-    assert not verdict.arrows
-    failing = [
-        g for g in enumerate_graphs(5, 4) if not arrows(g, PairMF(3, 3))
-    ]
-    assert verdict.counterexample == failing[0]
+    # the class stream has no order: both callers keep the least failure
+    # per e, which must be the first failure of the sorted window; at n = 6
+    # the stream meets another failure first for (3, 0) at e = 8..12 and for
+    # (4, 1) at e = 7 and 10
+    pairs = [PairMF(3, 3), PairMF(4, 3), PairMF(3, 0), PairMF(4, 1)]
+    for n, pair in [(5, PairMF(3, 3))] + [(6, pair) for pair in pairs]:
+        report = compute_S_n(n, pair)
+        for e in range(binom2(n) + 1):
+            failing = [g for g in enumerate_graphs(n, e) if not arrows(g, pair)]
+            least = failing[0] if failing else None
+            verdict = arrows_pair(n, e, pair)
+            assert (verdict.arrows, verdict.counterexample) == (not failing, least), (n, e)
+            assert report.counterexamples.get(e) == (least and to_graph6(least)), (n, e)
+    assert not arrows_pair(5, 4, PairMF(3, 3)).arrows  # triangle-free graphs with 4 edges
+
+
+def test_S_n_sweep_holds_no_level():
+    # the classes on 8 vertices are streamed, not held: a sweep keeps one
+    # root-to-leaf path and one failure per e (a held level took 2.3 MB)
+    tracemalloc.start()
+    try:
+        compute_S_n(8, PairMF(4, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_compute_S_n_forced_shapes():

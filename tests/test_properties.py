@@ -138,13 +138,24 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(g):
     def image_edges(p):
         return {tuple(sorted((p[a], p[b]))) for a, b in edges}
 
-    generators = []
-    order = canonical_order_rows(rows, g.n, root_partition(rows, g.n), generators)
+    order = canonical_order_rows(rows, g.n, root_partition(rows, g.n), [])
+    _, orbits, generators = canonical_rows(rows, g.n)
     for p in generators:
         assert image_edges(p) == edges
     group = [p for p in itertools.permutations(range(g.n)) if image_edges(p) == edges]
+    # the generators generate the whole group, which the oracle's mask
+    # orbits need, not only the vertex orbits
+    closure = {tuple(range(g.n))}
+    todo = list(closure)
+    while todo:
+        p = todo.pop()
+        for q in generators:
+            r = tuple(q[p[v]] for v in range(g.n))
+            if r not in closure:
+                closure.add(r)
+                todo.append(r)
+    assert closure == set(group)
     pos = {u: i for i, u in enumerate(order)}
-    _, orbits = canonical_rows(rows, g.n)
     for u in range(g.n):
         orbit = {p[u] for p in group}
         assert {w for w in range(g.n) if orbits[w] == orbits[u]} == orbit
