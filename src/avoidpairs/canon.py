@@ -3,10 +3,10 @@
 Equitable refinement plus individualization backtracking over ordered
 partitions; the canonical form is the minimum upper-triangle encoding over all
 discrete partitions the search reaches.  Collapsing twin vertices (equal
-neighborhoods outside the pair) keeps high-symmetry graphs such as empty
-graphs, cliques, and unions of cliques from exploding the branch count.  The
-search records automorphisms, and the labelling returns the vertex orbits
-along with the form.
+neighborhoods outside the pair), found once per graph, keeps high-symmetry
+graphs such as empty graphs, cliques, and unions of cliques from exploding the
+branch count.  A labelling returns the form, the canonical order, and
+generators of the automorphism group, under which ``orbit`` walks orbits.
 
 The entry points work on bare adjacency-row tuples.
 """
@@ -67,13 +67,6 @@ def _refine(
     return cells
 
 
-def _twins(rows: tuple[int, ...], u: int, w: int) -> bool:
-    """u and w have the same neighbors outside {u, w}, so swapping them is an
-    automorphism.  Being twins is an equivalence relation."""
-    keep = ~(1 << u | 1 << w)
-    return rows[u] & keep == rows[w] & keep
-
-
 def _encode(rows: tuple[int, ...], order: list[int]) -> int:
     """Upper-triangle bits (column-major) of the relabeled graph as one int:
     column j, the neighbors of order[j] among order[:j], is j bits with
@@ -101,11 +94,41 @@ def canonical_order_rows(
     """A relabeling (new index -> old vertex) realizing the canonical form,
     searched from ``root`` = root_partition(rows, n), for 1 <= n <= MAX_N.
 
-    Every automorphism the search meets is appended to ``generators`` as a
-    list (vertex -> image): each leaf whose encoding equals the best so far,
-    mapped from the best leaf, and each twin swap the search skips.  Together
-    they generate the automorphism group (oracle._classes gives the
-    proof)."""
+    Twins (same neighbors outside the pair) are found once: non-adjacent
+    twins have equal neighborhoods, adjacent ones equal closed
+    neighborhoods, no neighborhood equals a closed one, and no vertex has
+    twins of both kinds, so one dict keyed by both finds each vertex's first
+    twin in its root cell (a twin swap is an automorphism, so twins share
+    one).  A node branches on the first vertex of each twin class in its
+    target cell.  The automorphisms appended to ``generators`` (vertex ->
+    image) are the swap of each vertex with its first twin and each leaf
+    tying the best encoding, mapped from the best leaf.
+
+    They generate Aut(G).  A node skips the child of w only when w is a twin
+    of an explored sibling r; the swap of r and w, a product of recorded
+    swaps, fixes the node's individualized vertices and maps the skipped
+    child onto the explored one.  By induction on depth, a product of
+    recorded generators maps every node of the unpruned tree onto an
+    explored node.  An automorphism g maps the first best leaf onto a leaf
+    with the same encoding, which such a product maps onto an explored best
+    leaf, recorded as the image of the first best leaf.  An automorphism is
+    fixed by the image of one leaf, so g is a product of recorded generators.
+    """
+    twin_class = list(range(n))
+    for cell in root:
+        if len(cell) == 1:
+            continue
+        firsts: dict[int, int] = {}  # neighborhood -> first vertex having it
+        for v in cell:
+            nbhd, closed = rows[v], rows[v] | 1 << v
+            twin = firsts.get(nbhd, firsts.get(closed, v))
+            if twin == v:
+                firsts[nbhd] = firsts[closed] = v
+            else:
+                twin_class[v] = twin
+                swap = list(range(n))
+                swap[twin], swap[v] = v, twin
+                generators.append(swap)
     best_enc = 1 << n * (n - 1) // 2  # above every encoding
     best_order: list[int] = list(range(n))
 
@@ -125,16 +148,10 @@ def canonical_order_rows(
             return
         idx = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[idx]
-        reps: list[int] = []
+        branch: dict[int, int] = {}  # twin class -> its first vertex in the cell
         for v in cell:
-            twin = next((r for r in reps if _twins(rows, r, v)), None)
-            if twin is None:
-                reps.append(v)
-            else:
-                swap = list(range(n))
-                swap[twin], swap[v] = v, twin
-                generators.append(swap)
-        for v in reps:
+            branch.setdefault(twin_class[v], v)
+        for v in branch.values():
             rest = [w for w in cell if w != v]
             descend(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :], [1 << v]))
 
@@ -142,34 +159,32 @@ def canonical_order_rows(
     return best_order
 
 
-def _orbits(generators: list[list[int]], pos: list[int]) -> list[int]:
-    """Orbits of the group the generators generate, by union-find: each
-    vertex gets the largest ``pos`` in its orbit."""
-    parent = list(range(len(pos)))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for image in generators:
-        for u, v in enumerate(image):
-            if u != v:
-                a, b = find(u), find(v)
-                if pos[a] > pos[b]:
-                    a, b = b, a
-                parent[a] = b  # a class's root is its member of largest pos
-    return [pos[find(v)] for v in range(len(pos))]
+def orbit(mask: int, generators: list[list[int]]) -> set[int]:
+    """The orbit of a vertex set, as a mask, under the group the generators
+    generate."""
+    found, todo = {mask}, [mask]
+    while todo:
+        m = todo.pop()
+        for image in generators:
+            out, bits = 0, m
+            while bits:
+                low = bits & -bits
+                out |= 1 << image[low.bit_length() - 1]
+                bits ^= low
+            if out not in found:
+                found.add(out)
+                todo.append(out)
+    return found
 
 
 def canonical_rows(
     rows: tuple[int, ...], n: int, root: list[list[int]] | None = None
 ) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
-    """Adjacency rows of the canonically labeled graph, its vertex orbits, and
-    generators of its automorphism group in the input's labels (vertex ->
-    image): orbits[v] is the largest canonical index in v's orbit, so
-    orbits[v] == n - 1 iff v is in the orbit of the canonically last vertex.
-    ``root`` may pass root_partition(rows, n) when the caller has it."""
+    """Adjacency rows of the canonically labeled graph, the canonical order
+    (new index -> old vertex) that relabels the input into them, and
+    generators of the automorphism group in the input's labels (vertex ->
+    image); canonical_order_rows says why they generate it.  ``root`` may
+    pass root_partition(rows, n) when the caller has it."""
     if n > MAX_N:
         raise DomainError(f"canonical labeling supports n <= {MAX_N}, got {n}")
     if n == 0:
@@ -189,4 +204,4 @@ def canonical_rows(
             b = r & -r
             out[nu] |= 1 << pos[b.bit_length() - 1]
             r ^= b
-    return tuple(out), _orbits(generators, pos), generators
+    return tuple(out), order, generators

@@ -155,11 +155,9 @@ def cmd_pell(args) -> int:
 CRITERION_CSV_HEADER = ["m", "q", "Dy", "Dz", "L", "R", "verdict"]
 
 
-def _criterion_row(m: int, q: int) -> dict:
+def _criterion_row(m: int, q: int, dy: int, dz: int, L: int, R: int) -> dict:
     """The exact fields of (m, q), keyed in CSV column order: radicands and
     floors only, none of eval_criterion's fixed-point roots."""
-    dy, dz = criterion.radicands(m, q)
-    L, R = criterion.lr_floors(dy, dz)
     return {"m": m, "q": q, "Dy": dy, "Dz": dz, "L": L, "R": R,
             "verdict": "L>R" if L > R else "L<=R"}
 
@@ -173,7 +171,8 @@ def _write_criterion_csv(mq_pairs) -> None:
     w = _csv_writer()
     w.writerow(CRITERION_CSV_HEADER)
     for m, q in mq_pairs:
-        w.writerow(_criterion_row(m, q).values())
+        dy, dz = criterion.radicands(m, q)
+        w.writerow(_criterion_row(m, q, dy, dz, *criterion.lr_floors(dy, dz)).values())
 
 
 def cmd_criterion_eval(args) -> int:
@@ -183,7 +182,7 @@ def cmd_criterion_eval(args) -> int:
     ev = criterion.eval_criterion(args.m, args.q, args.fracbits)
     emit(
         {
-            **_criterion_row(ev.m, ev.q),
+            **_criterion_row(ev.m, ev.q, ev.Dy, ev.Dz, ev.L, ev.R),
             "frac_y": _frac_record(ev.frac_y),
             "d_approx": _frac_record(ev.d_approx),
         }

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import MAX_N, _encode, canonical_rows, root_partition
+from .canon import MAX_N, _encode, canonical_rows, orbit, root_partition
 from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
@@ -19,23 +19,6 @@ DEFAULT_QUERY_GUARD = 10  # single (n, e) enumeration
 SWEEP_GUARD = 9           # full levels: S_n sweeps
 ORACLE_MAX_M = 12
 SUBSET_GUARD = 10**8      # comb(n, m) bounds the leaves of one subset search
-
-
-def _mask_orbit(mask: int, generators: list[list[int]]) -> set[int]:
-    """The orbit of a vertex set mask under the group the generators generate."""
-    orbit, todo = {mask}, [mask]
-    while todo:
-        m = todo.pop()
-        for image in generators:
-            out, bits = 0, m
-            while bits:
-                low = bits & -bits
-                out |= 1 << image[low.bit_length() - 1]
-                bits ^= low
-            if out not in orbit:
-                orbit.add(out)
-                todo.append(out)
-    return orbit
 
 
 def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
@@ -52,21 +35,13 @@ def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
     in that orbit.  Cells of the root partition are unions of orbits, so a
     child whose new vertex is outside the last cell is rejected after one
     refinement; the rest are labelled once, which gives the canonical form,
-    the orbits, and the generators the child uses as a parent, in the labels
-    it was built with.  The last cell holds only vertices of the largest
-    degree, so most children already fail on degree, which the parent's
-    degrees and the mask decide without building the child.
-    - Orbits: the automorphisms the labelling records, leaves tying the best
-      and twin swaps, generate Aut(G).  Twin pruning skips the child of w at
-      a search node only when w is a twin of an explored sibling r; the swap
-      of r and w is recorded, fixes the node's individualized vertices, and
-      maps the skipped child onto the explored one.  By induction on depth,
-      a product of recorded generators maps every node of the unpruned tree
-      onto an explored node.  An automorphism g maps the first best leaf onto
-      a leaf with the same encoding, which such a product maps onto an
-      explored best leaf; that leaf was recorded as the image of the first
-      best leaf.  An automorphism is fixed by the image of one leaf, so g is
-      a product of recorded generators.
+    the canonical order, and generators of the automorphism group
+    (canon.canonical_order_rows proves they generate it), in the labels the
+    child was built with: the child is kept iff its canonically last vertex
+    is in the orbit of the new one, and it uses the generators as a parent.
+    The last cell holds only vertices of the largest degree, so most children
+    already fail on degree, which the parent's degrees and the mask decide
+    without building the child.
     - Complete: for G on k+1 vertices and w in its canonical orbit, G - w is
       isomorphic to one parent P on k vertices, and the matching mask on P
       gives a child isomorphic to G whose new vertex is the image of w.  Each
@@ -106,13 +81,13 @@ def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
             d = mask.bit_count()
             if not d_lo <= d <= d_hi or d == top and mask & tops or mask in seen:
                 continue
-            seen |= _mask_orbit(mask, generators)
+            seen |= orbit(mask, generators)
             child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(rows)) + (mask,)
             root = root_partition(child, k + 1)
             if k not in root[-1]:
                 continue
-            child_form, orbits, child_generators = canonical_rows(child, k + 1, root)
-            if orbits[k] == k:
+            child_form, order, child_generators = canonical_rows(child, k + 1, root)
+            if 1 << order[k] in orbit(1 << k, child_generators):
                 yield from grow(child, child_form, child_generators)
 
     yield from grow((0,), (0,), [])
@@ -243,10 +218,10 @@ def compute_S_n(n: int, pair: PairMF) -> ArrowReport:
     One stream over every class on n vertices decides the classes, and each
     e not in S gets its least canonical counterexample.
     """
-    if n > SWEEP_GUARD:
-        raise GuardError(f"S_n sweep guard: n={n} exceeds {SWEEP_GUARD}")
     if pair.m > n:
         raise DomainError(f"pair order {pair.m} exceeds n={n}")
+    if n > SWEEP_GUARD:
+        raise GuardError(f"S_n sweep guard: n={n} exceeds {SWEEP_GUARD}")
     total = binom2(n)
     failures = _least_failures(n, 0, total, pair)
     S = tuple(e for e in range(total + 1) if e not in failures)

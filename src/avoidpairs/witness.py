@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .criterion import CliqueForestCert, Impossible, PairMF, clique_forest_realizable
 from .errors import DomainError
-from .exactarith import binom2, isqrt
+from .exactarith import binom2, surd_floor
 from .graphs import Graph, girth, induced_subgraph
 
 
@@ -56,11 +56,21 @@ class WitnessVerdict:
     realizability: CliqueForestCert | None
 
 
+def _edge_total(n: int, e: int) -> int:
+    """binom2(n), after refusing n < 0 and e outside [0, binom2(n)]."""
+    if n < 0:
+        raise DomainError(f"vertex count must be >= 0, got {n}")
+    total = binom2(n)
+    if not 0 <= e <= total:
+        raise DomainError(f"edge count must satisfy 0 <= e <= {total}, got {e}")
+    return total
+
+
 def _clique_size_for(e: int) -> int:
-    # unique k with binom2(k) <= e <= binom2(k+1) - 1; e = 0 keeps the clique empty
+    # the R floor: unique k with binom2(k) <= e < binom2(k+1); e = 0 keeps K_0
     if e == 0:
         return 0
-    return (1 + isqrt(8 * e + 1)) // 2
+    return surd_floor(1, 8 * e + 1)
 
 
 def _dist_at_least(g: Graph, src: int, dst: int, limit: int) -> bool:
@@ -92,8 +102,7 @@ def build_witness(n: int, e: int, p: int) -> WitnessGraph | Infeasible:
     order, accepting an edge only when its endpoints are at distance >= p
     (so every new cycle has length > p).  Returns an Infeasible diagnostic
     when the candidates run out rather than ever degrading the girth."""
-    if not 0 <= e <= binom2(n):
-        raise DomainError(f"edge count must satisfy 0 <= e <= {binom2(n)}, got {e}")
+    _edge_total(n, e)
     if p < 3:
         raise DomainError(f"girth bound must be >= 3, got {p}")
     k = _clique_size_for(e)
@@ -130,9 +139,7 @@ def build_witness(n: int, e: int, p: int) -> WitnessGraph | Infeasible:
 def build_witness_or_complement(n: int, e: int, p: int) -> WitnessGraph | Infeasible:
     """Build directly for e below half the total edge count, otherwise build
     the complement's structure and mark the witness complemented."""
-    total = binom2(n)
-    if not 0 <= e <= total:
-        raise DomainError(f"edge count must satisfy 0 <= e <= {total}, got {e}")
+    total = _edge_total(n, e)
     if 2 * e <= total + 1:  # e <= ceil(total / 2)
         return build_witness(n, e, p)
     built = build_witness(n, total - e, p)

@@ -68,6 +68,15 @@ def test_high_symmetry_graphs_are_fast_and_stable():
         assert canonical_key(_permuted(g, perm)) == key
 
 
+def test_twin_classes_record_one_transposition_per_twin():
+    # the empty and the complete graph on 9 vertices are one twin class
+    # each, whose group S_9 eight transpositions generate
+    for g in (Graph(9), Graph(9).complement()):
+        _, _, generators = canonical_rows(tuple(g.rows), g.n)
+        assert len(generators) == 8
+        assert all(sum(v != w for v, w in enumerate(p)) == 2 for p in generators)
+
+
 def test_empty_single_vertex_and_oversized_inputs():
     # the n == 0 and n > 16 guards run before the root partition, which
     # cannot refine an empty vertex set

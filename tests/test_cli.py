@@ -245,6 +245,16 @@ def test_query_above_the_labelling_limit_is_a_guard_refusal(capsys):
     assert code == EXIT_GUARD and out == "" and json.loads(line)["kind"] == "guard"
 
 
+def test_oracle_queries_refuse_a_pair_above_n_before_any_guard(capsys):
+    # both queries check the pair first, so a sweep above SWEEP_GUARD and a
+    # query above the query guard get the same domain refusal
+    for argv in (["oracle", "sn", "--n", "10", "--m", "11", "--f", "0"],
+                 ["oracle", "arrows", "--n", "11", "--e", "0", "--m", "12", "--f", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        [line] = err.splitlines()
+        assert code == EXIT_USAGE and out == "" and json.loads(line)["kind"] == "domain"
+
+
 def test_bipartite_realize_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "bipartite", "realize", "--m", "3", "--f", "4")
     assert code == EXIT_OK and "case 3" in out and "PASS" in out

@@ -88,10 +88,8 @@ def test_level_8_bytes_are_pinned():
     assert digest.hexdigest() == "2415a1e55618d429e08e9b28ac59a8ea8e97f81ad24069d6fa3f383a7ce2a03c"
 
 
-def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
-    # the count pins the build's work: candidates outside the last cell of
-    # the root partition are never labelled, nor a second mask of one orbit
-    # of the parent's automorphisms, and no candidate twice
+def _labelled_build(monkeypatch, n, e_lo, e_hi):
+    """The classes of one window and the argument tuple of each labelling."""
     calls = []
     labelling = oracle.canonical_rows
 
@@ -100,10 +98,25 @@ def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
         return labelling(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "canonical_rows", counted)
-    level = list(_classes(7, 0, binom2(7)))
+    return list(_classes(n, e_lo, e_hi)), calls
+
+
+def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
+    # the count pins the build's work: candidates outside the last cell of
+    # the root partition are never labelled, nor a second mask of one orbit
+    # of the parent's automorphisms, and no candidate twice
+    level, calls = _labelled_build(monkeypatch, 7, 0, binom2(7))
     assert len(level) == len(set(level)) == 1044
     assert len(calls) == 1253
     assert len({args[0] for args in calls}) == len(calls)
+
+
+def test_sparse_window_labellings_are_pinned(monkeypatch):
+    # parents with many twins: the same masks are labelled however many
+    # generators the labelling records for their groups
+    window, calls = _labelled_build(monkeypatch, 10, 5, 5)
+    assert len(window) == len(set(window)) == 26
+    assert len(calls) == 224
 
 
 def test_labeled_recount_matches_augmentation():

@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidpairs.canon import canonical_order_rows, canonical_rows, root_partition
+from avoidpairs.canon import canonical_rows, orbit
 from avoidpairs.cli import dump_json, scan_t4_line
 from avoidpairs.criterion import (
     PairMF,
@@ -138,8 +138,7 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(g):
     def image_edges(p):
         return {tuple(sorted((p[a], p[b]))) for a, b in edges}
 
-    order = canonical_order_rows(rows, g.n, root_partition(rows, g.n), [])
-    _, orbits, generators = canonical_rows(rows, g.n)
+    form, order, generators = canonical_rows(rows, g.n)
     for p in generators:
         assert image_edges(p) == edges
     group = [p for p in itertools.permutations(range(g.n)) if image_edges(p) == edges]
@@ -155,11 +154,14 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(g):
                 closure.add(r)
                 todo.append(r)
     assert closure == set(group)
-    pos = {u: i for i, u in enumerate(order)}
     for u in range(g.n):
-        orbit = {p[u] for p in group}
-        assert {w for w in range(g.n) if orbits[w] == orbits[u]} == orbit
-        assert orbits[u] == max(pos[w] for w in orbit)
+        masks = orbit(1 << u, generators)
+        assert {m.bit_length() - 1 for m in masks} == {p[u] for p in group}
+        assert all(m.bit_count() == 1 for m in masks)
+    # order relabels the input into the form: new index i is old vertex order[i]
+    pos = {u: i for i, u in enumerate(order)}
+    assert sorted(order) == list(range(g.n))
+    assert Graph.from_edges(g.n, ((pos[u], pos[v]) for u, v in edges)) == Graph(g.n, list(form))
 
 
 @given(small_graphs(), st.data())

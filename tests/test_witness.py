@@ -42,6 +42,10 @@ def test_build_validation():
         build_witness(5, 11, 5)
     with pytest.raises(DomainError):
         build_witness(5, 3, 2)
+    # refused before binom2 would name its own argument
+    for build in (build_witness, build_witness_or_complement):
+        with pytest.raises(DomainError, match="vertex count must be >= 0"):
+            build(-1, 0, 3)
 
 
 def test_or_complement_rule():
