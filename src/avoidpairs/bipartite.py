@@ -8,13 +8,11 @@ obstruction used in the non-bipartite setting has no bipartite analogue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class BipartitePair:
+class BipartitePair(Record):
     """m vertices on each side, f edges, 0 <= f <= m^2."""
 
     m: int
@@ -29,8 +27,7 @@ class BipartitePair:
             )
 
 
-@dataclass(frozen=True)
-class BicliqueForestDecomp:
+class BicliqueForestDecomp(Record):
     """Biclique K_{x,y} on left [0, x) / right [0, y), plus forest edges on the
     leftover vertices (absolute indices: left in [x, m), right in [y, m))."""
 
@@ -98,8 +95,7 @@ def bipartite_realize(pair: BipartitePair) -> BicliqueForestDecomp:
     raise AssertionError(f"y = {y} out of range for m={m}, f={f}")
 
 
-@dataclass(frozen=True)
-class BipartiteVerdict:
+class BipartiteVerdict(Record):
     passed: bool
     failures: tuple[str, ...]
 

@@ -141,10 +141,9 @@ def _parse_vertices(text: str, n: int) -> frozenset[int]:
 
 
 def cmd_pell(args) -> int:
-    import dataclasses
     states = pell.pell_states() if args.raw else pell.m_states()
     for state in itertools.islice(states, args.count):
-        emit({**dataclasses.asdict(state), "m": state.m,
+        emit({**state._asdict(), "m": state.m,
               "checks": pell.verify_pell_state(state)})
     return EXIT_OK
 
@@ -265,17 +264,16 @@ def _witness_record(w: witness.WitnessGraph) -> dict:
 
 
 def cmd_witness_build(args) -> int:
-    import dataclasses
     built = witness.build_witness_or_complement(args.n, args.e, args.p)
     if isinstance(built, witness.Infeasible):
-        emit({"infeasible": True, **dataclasses.asdict(built)})
+        emit({"infeasible": True, **built._asdict()})
         emit({"error": built.reason, "kind": "infeasible"}, out=sys.stderr)
         return EXIT_INFEASIBLE
     record = _witness_record(built)
     if args.pair is not None:
         pair = _parse_pair(args.pair)
         verdict = witness.verify_witness(built, pair)
-        record["pair"] = dataclasses.asdict(pair)
+        record["pair"] = pair._asdict()
         record["verify"] = {"passed": verdict.passed, "failures": list(verdict.failures)}
     if args.graph6 is not None:
         try:
@@ -288,7 +286,6 @@ def cmd_witness_build(args) -> int:
 
 
 def cmd_witness_verify(args) -> int:
-    import dataclasses
     try:
         with open(args.graph6) as fh:
             text = fh.read()
@@ -308,7 +305,7 @@ def cmd_witness_verify(args) -> int:
     verdict = witness.verify_witness(w, pair)
     emit(
         {
-            "pair": dataclasses.asdict(pair),
+            "pair": pair._asdict(),
             "passed": verdict.passed,
             "failures": list(verdict.failures),
         }
@@ -321,18 +318,16 @@ def cmd_witness_verify(args) -> int:
 
 
 def cmd_oracle_arrows(args) -> int:
-    import dataclasses
     pair = criterion.PairMF(args.m, args.f)
     guard = oracle.DEFAULT_QUERY_GUARD if args.query_guard is None else args.query_guard
     verdict = oracle.arrows_pair(args.n, args.e, pair, query_guard=guard)
     g = verdict.counterexample
-    emit({"n": verdict.n, "e": verdict.e, "pair": dataclasses.asdict(pair),
+    emit({"n": verdict.n, "e": verdict.e, "pair": pair._asdict(),
           "arrows": verdict.arrows, "counterexample": to_graph6(g) if g else None})
     return EXIT_OK
 
 
 def cmd_oracle_sn(args) -> int:
-    import dataclasses
     pair = criterion.PairMF(args.m, args.f)
     report = oracle.compute_S_n(args.n, pair)
     if args.csv:
@@ -345,7 +340,7 @@ def cmd_oracle_sn(args) -> int:
     emit(
         {
             "n": report.n,
-            "pair": dataclasses.asdict(pair),
+            "pair": pair._asdict(),
             "S": list(report.S),
             "counterexamples": {str(e): g6 for e, g6 in sorted(report.counterexamples.items())},
             "fixed_n_fraction": report.sigma_estimate,
@@ -376,7 +371,6 @@ def cmd_oracle_xcheck_cf(args) -> int:
 
 
 def cmd_bipartite_realize(args) -> int:
-    import dataclasses
     pair = bipartite.BipartitePair(args.m, args.f)
     complemented = False
     target = pair
@@ -388,7 +382,7 @@ def cmd_bipartite_realize(args) -> int:
     if args.json:
         emit(
             {
-                **dataclasses.asdict(pair),
+                **pair._asdict(),
                 "complemented": complemented,
                 "biclique": [decomp.x, decomp.y],
                 "forest_edges": [list(edge) for edge in decomp.forest_edges],
@@ -409,7 +403,6 @@ def cmd_bipartite_realize(args) -> int:
 
 
 def cmd_diag_equidist(args) -> int:
-    import dataclasses
     report = equidist.diag_equidist(
         args.q,
         args.n,
@@ -417,7 +410,7 @@ def cmd_diag_equidist(args) -> int:
         fracbits=args.fracbits,
         restrict_to_M=args.on_m,
     )
-    emit(dataclasses.asdict(report))
+    emit(report._asdict())
     return EXIT_OK
 
 

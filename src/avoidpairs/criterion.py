@@ -12,16 +12,17 @@ endpoint), which never influence a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Union
 
 from .errors import DomainError, ScanAssertionError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, binom2, frac_sqrt_half, surd_floor
+from .records import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class PairMF:
+class PairMF(Record):
     """An order-size pair: m vertices, f edges, 0 <= f <= m*(m-1)/2."""
 
     m: int
@@ -39,8 +40,7 @@ class PairMF:
         return PairMF(self.m, binom2(self.m) - self.f)
 
 
-@dataclass(frozen=True)
-class Realizable:
+class Realizable(Record):
     """Decomposition witness: clique of size x plus a forest on the rest."""
 
     x: int
@@ -48,8 +48,7 @@ class Realizable:
     forest_edges: int
 
 
-@dataclass(frozen=True)
-class Impossible:
+class Impossible(Record):
     """Proof of impossibility: the lower clique bound L exceeds the upper R."""
 
     L: int
@@ -59,8 +58,7 @@ class Impossible:
 CliqueForestCert = Union[Realizable, Impossible]
 
 
-@dataclass(frozen=True)
-class AvoidabilityCert:
+class AvoidabilityCert(Record):
     """Certificate that neither the pair nor its complement splits as clique+forest."""
 
     pair: PairMF
@@ -68,8 +66,7 @@ class AvoidabilityCert:
     cert_complement: Impossible
 
 
-@dataclass(frozen=True)
-class CertRejection:
+class CertRejection(Record):
     """Names the orientation that is realizable, with its decomposition."""
 
     pair: PairMF
@@ -78,8 +75,7 @@ class CertRejection:
     decomposition: Realizable
 
 
-@dataclass(frozen=True)
-class CriterionEval:
+class CriterionEval(Record):
     """Exact L/R floors for (m, q) plus fixed-point diagnostics.
 
     Dy and Dz are the radicands 2m^2-10m-8q+9 and 2m^2-2m-8q+1; L and R are the
@@ -211,8 +207,7 @@ def avoidability_certificate(pair: PairMF) -> AvoidabilityCert | CertRejection:
 # q(m) specifications for range scans
 
 
-@dataclass(frozen=True)
-class AffineQ:
+class AffineQ(Record):
     """q(m) = floor(alpha*m + beta) with rational alpha, beta."""
 
     alpha: Fraction
@@ -328,6 +323,17 @@ def cert_record(f: int, outcome: AvoidabilityCert | CertRejection) -> dict:
     }
 
 
+def _interval_bounds(m: int) -> tuple[int, int]:
+    """The integers f in the open interval of half-width 0.175*m around
+    m(m-1)/4, clipped to [0, binom2(m)], as (f_lo, f_hi); empty if f_lo > f_hi.
+
+    floor(c - w) + 1 and ceil(c + w) - 1 for c = binom2(m)/2 and w = 7m/40,
+    both taken over the denominator 40."""
+    center, width = 20 * binom2(m), 7 * m
+    return (max((center - width) // 40 + 1, 0),
+            min(-((-center - width) // 40) - 1, binom2(m)))
+
+
 def scan_interval(m: int) -> dict:
     """Certify every integer f' in the open interval of half-width 0.175*m
     around m(m-1)/4; verdict is all-pass or the list of failing f'.
@@ -338,12 +344,7 @@ def scan_interval(m: int) -> dict:
     """
     if m < 1:
         raise DomainError(f"scan_interval needs m >= 1, got {m}")
-    center = Fraction(binom2(m), 2)
-    width = Fraction(7 * m, 40)  # 0.175 * m, exactly
-    f_lo = math.floor(center - width) + 1
-    f_hi = math.ceil(center + width) - 1
-    f_lo = max(f_lo, 0)
-    f_hi = min(f_hi, binom2(m))
+    f_lo, f_hi = _interval_bounds(m)
     if f_lo > f_hi:
         return {"m": m, "empty": True, "f_lo": None, "f_hi": None,
                 "all_pass": False, "results": []}

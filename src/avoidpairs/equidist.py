@@ -9,16 +9,14 @@ sup-norm discrepancy but O(N) to evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .criterion import radicand_dy
 from .errors import DomainError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, frac_sqrt_half
 from .pell import generate_M
+from .records import Record
 
 
-@dataclass(frozen=True)
-class EquidistReport:
+class EquidistReport(Record):
     q: int
     stride: int
     count: int

@@ -8,9 +8,9 @@ through floats, so results stay exact at any scan scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .records import Record
 
 DEFAULT_FRACBITS = 128
 
@@ -45,8 +45,7 @@ def surd_floor(c: int, d: int) -> int:
     return (c + math.isqrt(d)) // 2
 
 
-@dataclass(frozen=True)
-class FixedPointFrac:
+class FixedPointFrac(Record):
     """A fixed-point real equal to value / 2**fracbits.
 
     Fractional parts produced by this module satisfy 0 <= value < 2**fracbits.

@@ -6,7 +6,6 @@ clique-plus-forest realization oracle independent of the floor criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .canon import MAX_N, _encode, canonical_rows, orbit, root_partition
@@ -14,6 +13,7 @@ from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
 from .graphs import Graph, girth, to_graph6
+from .records import Record
 
 DEFAULT_QUERY_GUARD = 10  # single (n, e) enumeration
 SWEEP_GUARD = 9           # full levels: S_n sweeps
@@ -93,6 +93,14 @@ def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
     yield from grow((0,), (0,), [])
 
 
+def _refuse_pair(n: int, pair: PairMF) -> None:
+    """A pair query's domain refusals, before any guard: n, then the pair's order."""
+    if n < 1:
+        raise DomainError(f"enumeration needs n >= 1, got {n}")
+    if pair.m > n:
+        raise DomainError(f"pair order {pair.m} exceeds n={n}")
+
+
 def _refuse_query(n: int, e: int, query_guard: int) -> None:
     """The refusals of a single (n, e) query, in order."""
     if n < 1:
@@ -156,8 +164,7 @@ def arrows(g: Graph, pair: PairMF) -> bool:
     return _has_induced_size(g.rows, g.n, pair.m, pair.f)
 
 
-@dataclass(frozen=True)
-class ArrowVerdict:
+class ArrowVerdict(Record):
     n: int
     e: int
     pair: PairMF
@@ -189,15 +196,13 @@ def arrows_pair(
     A returned counterexample is the lexicographically least canonical form
     among the failures.
     """
-    if pair.m > n:
-        raise DomainError(f"pair order {pair.m} exceeds n={n}")
+    _refuse_pair(n, pair)
     _refuse_query(n, e, query_guard)
     g = _least_failures(n, e, e, pair).get(e)
     return ArrowVerdict(n, e, pair, g is None, g)
 
 
-@dataclass(frozen=True)
-class ArrowReport:
+class ArrowReport(Record):
     """S_n for one pair: which e force the pair, one non-arrowing graph for the
     rest, and the fixed-n fraction |S| / (binom2(n)+1).
 
@@ -218,8 +223,7 @@ def compute_S_n(n: int, pair: PairMF) -> ArrowReport:
     One stream over every class on n vertices decides the classes, and each
     e not in S gets its least canonical counterexample.
     """
-    if pair.m > n:
-        raise DomainError(f"pair order {pair.m} exceeds n={n}")
+    _refuse_pair(n, pair)
     if n > SWEEP_GUARD:
         raise GuardError(f"S_n sweep guard: n={n} exceeds {SWEEP_GUARD}")
     total = binom2(n)

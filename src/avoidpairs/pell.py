@@ -5,14 +5,13 @@ members admit exact avoidability certificates at the half edge count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class PellState:
+class PellState(Record):
     """One step of the recursion x' = 3x + 4y, y' = 2x + 3y from (3, 1)."""
 
     s: int

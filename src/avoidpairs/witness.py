@@ -10,16 +10,15 @@ At small scale, oracle.arrows checks the same claim by subset search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .criterion import CliqueForestCert, Impossible, PairMF, clique_forest_realizable
 from .errors import DomainError
 from .exactarith import binom2, surd_floor
 from .graphs import Graph, girth, induced_subgraph
+from .records import Record
 
 
-@dataclass(frozen=True)
-class WitnessGraph:
+class WitnessGraph(Record):
     """A graph plus its structural certificate.
 
     If complemented is set, the clique/girth structure lives in the complement
@@ -36,8 +35,7 @@ class WitnessGraph:
         return self.graph.complement() if self.complemented else self.graph
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record):
     """Greedy insertion ran out of candidate edges; diagnostic counts."""
 
     n: int
@@ -49,8 +47,7 @@ class Infeasible:
     reason: str
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(Record):
     passed: bool
     failures: tuple[str, ...]
     realizability: CliqueForestCert | None

@@ -8,6 +8,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from avoidpairs.canon import _encode, canonical_rows
 from avoidpairs.errors import DomainError, GuardError
@@ -110,6 +111,16 @@ def xcheck_lr_equivalence(m_lo: int, m_hi: int) -> dict:
                 mismatches.append({"m": m, "q": q, "f": f, "L": lval, "R": rval,
                                    "search_x": x})
     return {"pairs_checked": checked, "mismatches": mismatches}
+
+
+def interval_bounds_fraction(m: int) -> tuple[int, int]:
+    """Reference for criterion._interval_bounds in exact rationals: the
+    integers strictly within 0.175*m of m(m-1)/4, clipped to [0, binom2(m)]."""
+    center = Fraction(binom2(m), 2)
+    width = Fraction(7 * m, 40)  # 0.175 * m, exactly
+    f_lo = math.floor(center - width) + 1
+    f_hi = math.ceil(center + width) - 1
+    return max(f_lo, 0), min(f_hi, binom2(m))
 
 
 @dataclass(frozen=True)

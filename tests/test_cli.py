@@ -255,6 +255,19 @@ def test_oracle_queries_refuse_a_pair_above_n_before_any_guard(capsys):
         assert code == EXIT_USAGE and out == "" and json.loads(line)["kind"] == "domain"
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "sn", "--n", "-1", "--m", "1", "--f", "0"],
+    ["oracle", "arrows", "--n", "-2", "--e", "0", "--m", "1", "--f", "0"],
+], ids=["sn", "arrows"])
+def test_oracle_queries_name_a_vertex_count_below_one(capsys, argv):
+    # n is refused before the pair's order is compared with it
+    code, out, err = run_cli(capsys, *argv)
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert code == EXIT_USAGE and out == "" and error["kind"] == "domain"
+    assert error["error"] == f"enumeration needs n >= 1, got {argv[3]}"
+
+
 def test_bipartite_realize_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "bipartite", "realize", "--m", "3", "--f", "4")
     assert code == EXIT_OK and "case 3" in out and "PASS" in out

@@ -12,6 +12,7 @@ from avoidpairs.criterion import (
     Impossible,
     PairMF,
     Realizable,
+    _interval_bounds,
     avoidability_certificate,
     clique_forest_realizable,
     eval_criterion,
@@ -27,6 +28,7 @@ from avoidpairs.exactarith import binom2
 from helpers import (
     TableQ,
     first_persistent_m,
+    interval_bounds_fraction,
     scan_hits,
     smallest_clique_size_bisection as _smallest_clique_size,
     smallest_clique_size_linear,
@@ -239,6 +241,15 @@ def test_scan_interval_m4_and_empty():
     assert scan_interval(2)["empty"] is True
     with pytest.raises(DomainError):
         scan_interval(0)
+
+
+def test_interval_bounds_match_the_rational_reference():
+    for m in range(1, 5001):
+        f_lo, f_hi = _interval_bounds(m)
+        assert (f_lo, f_hi) == interval_bounds_fraction(m), m
+        assert (f_lo > f_hi) == (m == 2), m
+    rec = scan_interval(1000)
+    assert (rec["f_lo"], rec["f_hi"]) == interval_bounds_fraction(1000)
 
 
 def test_scan_mod23_examples():

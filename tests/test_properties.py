@@ -16,6 +16,7 @@ from avoidpairs.cli import dump_json, scan_t4_line
 from avoidpairs.criterion import (
     PairMF,
     Realizable,
+    _interval_bounds,
     clique_forest_realizable,
     scan_offset_disjunction,
 )
@@ -23,7 +24,7 @@ from avoidpairs.errors import DomainError
 from avoidpairs.exactarith import binom2, surd_floor
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
 from avoidpairs.oracle import arrows
-from helpers import induced_size_set, smallest_clique_size_linear
+from helpers import induced_size_set, interval_bounds_fraction, smallest_clique_size_linear
 
 
 def surd_floor_bisection(c, d):
@@ -69,6 +70,12 @@ def test_floor_decision_matches_linear_reference(mf):
     assert x == smallest_clique_size_linear(m, f)
     if isinstance(cert, Realizable):
         assert cert == Realizable(x, m - x, f - binom2(x))
+
+
+@given(st.integers(1, 10**9))
+@settings(max_examples=500, deadline=None)
+def test_interval_bounds_match_the_rational_reference(m):
+    assert _interval_bounds(m) == interval_bounds_fraction(m)
 
 
 @given(st.integers(5, 10**6), st.integers(0, 200))

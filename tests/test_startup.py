@@ -7,6 +7,7 @@ their first attribute access.  Each import set is taken in a fresh
 interpreter, since this test process has long since imported everything.
 """
 
+import functools
 import importlib
 import json
 import os
@@ -22,7 +23,7 @@ SRC = pathlib.Path(avoidpairs.__file__).resolve().parents[1]
 PACKAGE_MODULES = {
     f"avoidpairs.{name}"
     for name in ("criterion", "oracle", "canon", "witness", "bipartite", "pell",
-                 "equidist", "exactarith")
+                 "equidist", "exactarith", "records")
 }
 PROBE = """\
 import json, sys, types
@@ -35,16 +36,18 @@ def executed_modules(code: str) -> set[str]:
     """Modules executed by `code` in a fresh interpreter, beyond what a bare
     interpreter start executes."""
 
-    def probe(body: str) -> set[str]:
-        proc = subprocess.run(
-            [sys.executable, "-c", PROBE.format(code=body)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        assert proc.returncode == 0, proc.stderr
-        return set(json.loads(proc.stdout.splitlines()[-1]))
+    return _probe(code) - _probe("pass")
 
-    return probe(code) - probe("pass")
+
+@functools.lru_cache(maxsize=None)
+def _probe(body: str) -> frozenset[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(code=body)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_parser_ready_executes_no_subcommand_module():
@@ -52,6 +55,43 @@ def test_parser_ready_executes_no_subcommand_module():
     assert "avoidpairs.cli" in executed
     assert executed & PACKAGE_MODULES == set()
     assert executed & {"dataclasses", "fractions"} == set()
+
+
+# a clique K_5 plus a girth > 6 part: `witness build --n 20 --e 12 --p 6`
+WITNESS_G6 = "S~{?GG???????????????????????????"
+ONE_CALL_PER_SUBCOMMAND = [
+    ["pell", "--count", "3"],
+    ["criterion", "eval", "--m", "40", "--q", "0"],
+    ["criterion", "cert", "--m", "40", "--f", "390"],
+    ["criterion", "scan-t4", "--from", "5", "--to", "60"],
+    ["criterion", "scan-t2", "--alpha", "1/2", "--beta", "3", "--from", "5", "--to", "60"],
+    ["criterion", "scan-interval", "--m", "40"],
+    ["criterion", "scan-mod23", "--from", "2", "--to", "60"],
+    ["witness", "build", "--n", "30", "--e", "20", "--p", "6", "--pair", "5,5"],
+    ["witness", "verify", "--graph6", "{g6}", "--pair", "5,5", "--clique-vertices", "0,1,2,3,4",
+     "--p", "6"],
+    ["oracle", "arrows", "--n", "6", "--e", "7", "--m", "4", "--f", "3"],
+    ["oracle", "sn", "--n", "5", "--m", "3", "--f", "1"],
+    ["oracle", "xcheck-cf", "--max-m", "5"],
+    ["bipartite", "realize", "--m", "3", "--f", "4", "--json"],
+    ["diag", "equidist", "--q", "0", "--n", "100", "--bins", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_PER_SUBCOMMAND, ids=" ".join)
+def test_no_call_executes_dataclasses_and_only_scan_t2_executes_fractions(argv, tmp_path):
+    g6_path = tmp_path / "w.g6"
+    g6_path.write_text(WITNESS_G6 + "\n")
+    argv = [str(g6_path) if arg == "{g6}" else arg for arg in argv]
+    executed = executed_modules(
+        "import contextlib, io\n"
+        "from avoidpairs.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    assert "avoidpairs.records" in executed
+    assert "dataclasses" not in executed
+    assert ("fractions" in executed) == (argv[1] == "scan-t2")
 
 
 def test_criterion_cert_executes_only_criterion_and_its_imports():
