@@ -73,24 +73,15 @@ def emit(obj, out=None) -> None:
     (out or sys.stdout).write(dump_json(obj) + "\n")
 
 
-# One scan-t4 record in dump_json's sorted key order, without the encoder's
-# per-call cost.  Safe because scan_offset_disjunction always makes these
-# eight keys, every floor is an int or None and "which" is a plain ASCII word,
-# so no value needs escaping.  test_scan_t4_line_matches_dump_json keeps it
-# equal to dump_json.
+# One scan-t4 row (criterion.SCAN_T4_FIELDS, dump_json's sorted key order)
+# as its JSON line, without the encoder's per-call cost.  Safe because every
+# floor is an int and "which" is a plain ASCII word, so no value needs
+# escaping; None floors, below criterion.OFFSET_M, are written as null before
+# a row reaches it.  test_scan_t4_line_matches_dump_json keeps it equal to
+# dump_json.
 _SCAN_T4_LINE = (
     '{{"L0":{},"L6m":{},"Lneg6m":{},"R0":{},"R6m":{},"Rneg6m":{},"m":{},"which":"{}"}}\n'
 ).format
-_NULL_OFFSETS = dict.fromkeys(("L6m", "R6m", "Lneg6m", "Rneg6m"), "null")
-
-
-def scan_t4_line(rec: dict) -> str:
-    """The JSON line emit writes for a scan_offset_disjunction record.  Below
-    the +/-6m envelope the four offset floors are None together."""
-    if rec["L6m"] is None:
-        rec = {**rec, **_NULL_OFFSETS}
-    return _SCAN_T4_LINE(rec["L0"], rec["L6m"], rec["Lneg6m"], rec["R0"], rec["R6m"],
-                         rec["Rneg6m"], rec["m"], rec["which"])
 
 
 def _frac_record(frac: exactarith.FixedPointFrac) -> dict:
@@ -197,19 +188,23 @@ def cmd_criterion_cert(args) -> int:
 
 
 def cmd_criterion_scan_t4(args) -> int:
-    # Records stream as they are made; a failed --assert raises only after the
+    # Rows stream as they are made; a failed --assert raises only after the
     # last one, and main writes the failures and the error line to stderr.
-    records = criterion.scan_offset_disjunction(
-        args.from_m, args.to_m, assert_all=args.assert_all
-    )
+    rows = criterion.scan_offset_disjunction(args.from_m, args.to_m, assert_all=args.assert_all)
     if args.csv:
         _write_criterion_csv(
-            (rec["m"], k * rec["m"])
-            for rec in records
-            for k in ((0, 6, -6) if rec["L6m"] is not None else (0,))
+            (row[6], k * row[6])
+            for row in rows
+            for k in ((0, 6, -6) if row[1] is not None else (0,))
         )
         return EXIT_OK
-    sys.stdout.writelines(map(scan_t4_line, records))
+    # rows without offset floors all come first; from the first row with
+    # them on, the fixed format writes every row
+    for row in rows:
+        if row[1] is not None:
+            sys.stdout.writelines(itertools.starmap(_SCAN_T4_LINE, itertools.chain((row,), rows)))
+            break
+        sys.stdout.write(_SCAN_T4_LINE(*["null" if v is None else v for v in row]))
     return EXIT_OK
 
 

@@ -221,54 +221,63 @@ QSpec = Callable[[int], int]
 
 
 # ---------------------------------------------------------------------------
-# Scanners.  Each is a generator of plain dict records (JSON-ready) in m
-# order, so a caller can write each record as soon as it is made.
+# Scanners.  Each is a generator in m order, so a caller can write each record
+# as soon as it is made: scan_offset_disjunction yields plain tuples, the
+# others plain dicts (JSON-ready).
+
+# A scan_offset_disjunction row: its fields in order, which is also the sorted
+# key order of the JSON line written for it.
+SCAN_T4_FIELDS = ("L0", "L6m", "Lneg6m", "R0", "R6m", "Rneg6m", "m", "which")
+
+# The q = +/-6m pairs are inside the envelope, (m-5)^2 >= 24m with m >= 5,
+# exactly from m = OFFSET_M on: m^2 - 34m + 25 >= 0 holds for integers
+# m >= 5 iff m >= 17 + sqrt(264), and 16 < sqrt(264) < 17.
+OFFSET_M = 34
 
 
-def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> Iterator[dict]:
+def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> Iterator[tuple]:
     """For each m = 0, 1 (mod 4) in range, report whether the center inequality
-    L_0 > R_0 holds, or both offset inequalities at q = +/-6m hold.
+    L_0 > R_0 holds, or both offset inequalities at q = +/-6m hold, as the row
+    (L0, L6m, Lneg6m, R0, R6m, Rneg6m, m, which) (see SCAN_T4_FIELDS).  Below
+    OFFSET_M the four offset floors are None.
+
+    The floors are lr_floors written out: at q = 0 the radicands are
+    Dy = 2m^2 - 10m + 9 and Dz = Dy + 8(m-1), q = +/-6m moves both by -/+48m,
+    and floor((c + sqrt(D))/2) = (c + isqrt(D)) // 2 (exactarith.surd_floor).
 
     In assertion mode every m must satisfy one of the two branches; once the
     range is exhausted, a violation raises ScanAssertionError listing the
-    failing records (all records, failing ones included, are yielded first).
+    failing rows as dicts keyed by SCAN_T4_FIELDS (all rows, failing ones
+    included, are yielded first).
     """
+    isqrt = math.isqrt
     bad = []
-    for m in range(m_lo, m_hi + 1):
-        if m % 4 not in (0, 1) or m < 5:
+    for m in range(max(m_lo, 5), m_hi + 1):
+        if m & 3 > 1:
             continue
-        # q = 0 is inside the envelope for every m >= 5
-        dy = radicand_dy(m, 0)
-        dz = dy + 8 * (m - 1)
-        l0, r0 = lr_floors(dy, dz)
-        center = l0 > r0
-        if _in_envelope(m, 6 * m):
-            # q = +/-6m moves both radicands by -/+48m
-            l6, r6 = lr_floors(dy - 48 * m, dz - 48 * m)
-            lm6, rm6 = lr_floors(dy + 48 * m, dz + 48 * m)
+        dy = 2 * m * m - 10 * m + 9
+        dz = dy + 8 * m - 8
+        l0 = (5 + isqrt(dy)) // 2
+        r0 = (1 + isqrt(dz)) // 2
+        if m >= OFFSET_M:
+            s = 48 * m
+            l6 = (5 + isqrt(dy - s)) // 2
+            r6 = (1 + isqrt(dz - s)) // 2
+            lm6 = (5 + isqrt(dy + s)) // 2
+            rm6 = (1 + isqrt(dz + s)) // 2
             offset = l6 > r6 and lm6 > rm6
         else:
             l6 = r6 = lm6 = rm6 = None
-            offset = None
-        which = "center" if center else ("offset6m" if offset else "none")
-        rec = {
-            "m": m,
-            "which": which,
-            "L0": l0,
-            "R0": r0,
-            "L6m": l6,
-            "R6m": r6,
-            "Lneg6m": lm6,
-            "Rneg6m": rm6,
-        }
-        if assert_all and which == "none":
-            bad.append(rec)
-        yield rec
+            offset = False
+        row = (l0, l6, lm6, r0, r6, rm6, m,
+               "center" if l0 > r0 else "offset6m" if offset else "none")
+        if assert_all and row[7] == "none":
+            bad.append(row)
+        yield row
     if bad:
         raise ScanAssertionError(
-            f"{len(bad)} m values satisfy neither branch "
-            f"(first: m={bad[0]['m']})",
-            bad,
+            f"{len(bad)} m values satisfy neither branch (first: m={bad[0][6]})",
+            [dict(zip(SCAN_T4_FIELDS, row)) for row in bad],
         )
 
 

@@ -6,6 +6,7 @@ clique-plus-forest realization oracle independent of the floor criterion.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Iterator
 
 from .canon import MAX_N, _encode, canonical_rows, orbit, root_partition
@@ -21,9 +22,25 @@ ORACLE_MAX_M = 12
 SUBSET_GUARD = 10**8      # comb(n, m) bounds the leaves of one subset search
 
 
-def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
+def _completions(rows: tuple[int, ...], m: int, f: int, cap: int) -> list[tuple[int, int]]:
+    """(T, f - e(T)) for each (m-1)-subset T of the graph's vertices, as a
+    mask, with 0 <= f - e(T) <= cap: a new vertex joined to exactly
+    f - e(T) vertices of T makes T and itself induce f edges."""
+    found = []
+    for subset in combinations(range(len(rows)), m - 1):
+        t = sum(1 << v for v in subset)
+        need = f - sum((rows[v] & t).bit_count() for v in subset) // 2
+        if 0 <= need <= cap:
+            found.append((t, need))
+    return found
+
+
+def _classes(
+    n: int, e_lo: int, e_hi: int, pair: PairMF | None = None
+) -> Iterator[tuple[int, ...]]:
     """Yield each isomorphism class on n >= 1 vertices with e_lo <= e <= e_hi
-    edges once, as canonical rows, depth first (not in graph6 order).
+    edges once, as canonical rows, depth first (not in graph6 order); with a
+    pair, only the classes that do not arrow it.
 
     Built by canonical augmentation (McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998).  The canonical deletion orbit of a
@@ -59,8 +76,21 @@ def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
     in the window consists of induced subgraphs of it, which pass both
     tests, so the pruning loses no class; on the last vertex the two tests
     are the window itself.  At n = 1 the window must contain 0.
+
+    With a pair (m, f), a child on at least m vertices is also dropped, before
+    its root partition and its labelling, when some m-subset containing the
+    new vertex induces f edges, which _completions decides from the parent's
+    (m-1)-subsets.  Not arrowing is hereditary for induced subgraphs, so the
+    canonical deletion chain of a class that does not arrow passes these
+    tests too, and the pruning loses no such class; every mask in one orbit
+    of Aut(parent) gives an isomorphic child, so the test can come after the
+    orbit is marked.  A kept parent does not arrow, so a kept child arrows
+    only through its new vertex: every class yielded does not arrow.  The
+    one-vertex root arrows exactly (1, 0), and then nothing is yielded.
     """
     total = binom2(n)
+    # without a pair no graph reaches m = n + 1 vertices: nothing is dropped
+    m, f = (pair.m, pair.f) if pair is not None else (n + 1, 0)
 
     def grow(rows: tuple[int, ...], form: tuple[int, ...], generators: list[list[int]]):
         k = len(rows)
@@ -76,12 +106,21 @@ def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
         tops = sum(1 << v for v in range(k) if deg[v] == top)
         d_lo = max(top, e_lo - cap_after - e_parent)
         d_hi = e_hi - e_parent
+        # the new vertex meets an (m-1)-subset T in at most min(m-1, d_hi)
+        # vertices, and T spans at most min(e_parent, binom2(m-1)) edges
+        cap = min(m - 1, d_hi)
+        if k + 1 >= m and f - min(e_parent, binom2(m - 1)) <= cap:
+            completions = _completions(rows, m, f, cap)
+        else:
+            completions = ()
         seen: set[int] = set()
         for mask in range(1 << k):
             d = mask.bit_count()
             if not d_lo <= d <= d_hi or d == top and mask & tops or mask in seen:
                 continue
             seen |= orbit(mask, generators)
+            if any((mask & t).bit_count() == need for t, need in completions):
+                continue
             child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(rows)) + (mask,)
             root = root_partition(child, k + 1)
             if k not in root[-1]:
@@ -90,7 +129,8 @@ def _classes(n: int, e_lo: int, e_hi: int) -> Iterator[tuple[int, ...]]:
             if 1 << order[k] in orbit(1 << k, child_generators):
                 yield from grow(child, child_form, child_generators)
 
-    yield from grow((0,), (0,), [])
+    if m > 1:
+        yield from grow((0,), (0,), [])
 
 
 def _refuse_pair(n: int, pair: PairMF) -> None:
@@ -174,18 +214,16 @@ class ArrowVerdict(Record):
 
 def _least_failures(n: int, e_lo: int, e_hi: int, pair: PairMF) -> dict[int, Graph]:
     """By e in increasing order, the class that fails to arrow the pair with
-    the least canonical encoding (graph6 order).  A class is decided only when
-    it encodes below the least failure found so far at its e."""
+    the least canonical encoding (graph6 order).  _classes yields only the
+    classes that fail."""
     identity = list(range(n))
-    least: dict[int, tuple[int, Graph]] = {}
-    for rows in _classes(n, e_lo, e_hi):
+    least: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for rows in _classes(n, e_lo, e_hi, pair):
         e = sum(r.bit_count() for r in rows) // 2
-        if e in least and _encode(rows, identity) > least[e][0]:
-            continue
-        g = Graph(n, list(rows))
-        if not arrows(g, pair):
-            least[e] = (_encode(rows, identity), g)
-    return {e: g for e, (_, g) in sorted(least.items())}
+        code = _encode(rows, identity)
+        if e not in least or code < least[e][0]:
+            least[e] = (code, rows)
+    return {e: Graph(n, list(rows)) for e, (_, rows) in sorted(least.items())}
 
 
 def arrows_pair(

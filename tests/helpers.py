@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from avoidpairs.canon import _encode, canonical_rows
+from avoidpairs.criterion import PairMF, _in_envelope, lr_floors, radicands
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph
-from avoidpairs.oracle import _classes
+from avoidpairs.oracle import _classes, arrows
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -141,19 +142,51 @@ def scan_hits(records: list[dict]) -> list[int]:
     return [rec["m"] for rec in records if rec.get("status") == "hit"]
 
 
-def first_persistent_m(records: list[dict]) -> int | None:
-    """Smallest scanned m from which every later record has a holding branch.
+def offset_disjunction_records(m_lo: int, m_hi: int) -> list[dict]:
+    """Reference for criterion.scan_offset_disjunction: its records as dicts
+    keyed by field name, from lr_floors on radicands(m, 0) and the
+    envelope predicate, for each m = 0, 1 (mod 4) in range."""
+    records = []
+    for m in range(m_lo, m_hi + 1):
+        if m % 4 not in (0, 1) or m < 5:
+            continue
+        dy, dz = radicands(m, 0)
+        l0, r0 = lr_floors(dy, dz)
+        if _in_envelope(m, 6 * m):
+            # q = +/-6m moves both radicands by -/+48m
+            l6, r6 = lr_floors(dy - 48 * m, dz - 48 * m)
+            lm6, rm6 = lr_floors(dy + 48 * m, dz + 48 * m)
+            offset = l6 > r6 and lm6 > rm6
+        else:
+            l6 = r6 = lm6 = rm6 = None
+            offset = None
+        records.append({
+            "m": m,
+            "which": "center" if l0 > r0 else ("offset6m" if offset else "none"),
+            "L0": l0,
+            "R0": r0,
+            "L6m": l6,
+            "R6m": r6,
+            "Lneg6m": lm6,
+            "Rneg6m": rm6,
+        })
+    return records
+
+
+def first_persistent_m(rows: list[tuple]) -> int | None:
+    """Smallest scanned m from which every later scan_offset_disjunction row
+    has a holding branch.
 
     Reports an observation over the scanned range only; no claim is made that
     the boundary is tight beyond it.
     """
     last_bad = None
-    for rec in records:
-        if rec["which"] == "none":
-            last_bad = rec["m"]
+    for *_, m, which in rows:
+        if which == "none":
+            last_bad = m
     if last_bad is None:
-        return records[0]["m"] if records else None
-    later = [rec["m"] for rec in records if rec["m"] > last_bad]
+        return rows[0][6] if rows else None
+    later = [m for *_, m, _ in rows if m > last_bad]
     return later[0] if later else None
 
 
@@ -163,6 +196,24 @@ def sorted_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
     session."""
     identity = list(range(n))
     return tuple(sorted(_classes(n, e_lo, e_hi), key=lambda rows: _encode(rows, identity)))
+
+
+@functools.cache
+def failing_classes(n: int, pair: PairMF) -> tuple[tuple[int, ...], ...]:
+    """Reference for oracle._classes with a pair: the unpruned level on n
+    vertices in graph6 order, each class decided by oracle.arrows, keeping
+    those that do not arrow the pair."""
+    return tuple(rows for rows in sorted_classes(n, 0, binom2(n))
+                 if not arrows(Graph(n, list(rows)), pair))
+
+
+def least_failures_reference(n: int, pair: PairMF) -> dict[int, Graph]:
+    """Reference for oracle._least_failures over the full level: the first
+    failing class in graph6 order at each e, by increasing e."""
+    least: dict[int, Graph] = {}
+    for rows in failing_classes(n, pair):
+        least.setdefault(sum(r.bit_count() for r in rows) // 2, Graph(n, list(rows)))
+    return dict(sorted(least.items()))
 
 
 def class_counts(n: int) -> dict[int, int]:

@@ -85,7 +85,7 @@ def test_criterion_2_arithmetic_on_first_ten_M():
 def test_criterion_3_offset_disjunction_scan():
     t0 = time.perf_counter()
     records = list(scan_offset_disjunction(740, 100_000, assert_all=True))
-    failures = [rec for rec in records if rec["which"] == "none"]
+    failures = [row for row in records if row[7] == "none"]
     elapsed = time.perf_counter() - t0
     _report(3, "center-or-offset disjunction on [740, 1e5]",
             not failures and elapsed < 10.0,

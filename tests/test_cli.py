@@ -18,9 +18,8 @@ from avoidpairs.cli import (
     EXIT_USAGE,
     dump_json,
     main,
-    scan_t4_line,
 )
-from avoidpairs.criterion import scan_offset_disjunction
+from helpers import offset_disjunction_records
 
 
 def run_cli(capsys, *argv):
@@ -94,13 +93,25 @@ def test_scan_t4_assert_failure_streams_records_then_reports(capsys):
     assert json_lines(err) == [*failures, error]
 
 
-def test_scan_t4_line_matches_dump_json():
-    records = list(scan_offset_disjunction(5, 2000))
+def test_scan_t4_line_matches_dump_json(capsys):
     # the range holds rows below the +/-6m envelope and rows of every verdict
+    records = offset_disjunction_records(5, 2000)
     assert any(rec["L6m"] is None for rec in records)
     assert {rec["which"] for rec in records} == {"center", "offset6m", "none"}
-    for rec in records:
-        assert scan_t4_line(rec) == dump_json(rec) + "\n", rec
+    code, out, _ = run_cli(capsys, "criterion", "scan-t4", "--from", "5", "--to", "2000")
+    assert code == EXIT_OK
+    assert out.splitlines(keepends=True) == [dump_json(rec) + "\n" for rec in records]
+
+
+def test_scan_t4_lines_at_the_offset_envelope(capsys):
+    code, out, _ = run_cli(capsys, "criterion", "scan-t4", "--from", "33", "--to", "36")
+    assert code == EXIT_OK
+    assert out == (
+        '{"L0":24,"L6m":null,"Lneg6m":null,"R0":23,"R6m":null,"Rneg6m":null,'
+        '"m":33,"which":"center"}\n'
+        '{"L0":26,"L6m":13,"Lneg6m":34,"R0":25,"R6m":14,"Rneg6m":33,'
+        '"m":36,"which":"center"}\n'
+    )
 
 
 def test_closed_stdout_exits_141_without_traceback():

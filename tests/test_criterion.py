@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from avoidpairs.criterion import (
+    OFFSET_M,
+    SCAN_T4_FIELDS,
     AffineQ,
     AvoidabilityCert,
     CertRejection,
     Impossible,
     PairMF,
     Realizable,
+    _in_envelope,
     _interval_bounds,
     avoidability_certificate,
     clique_forest_realizable,
@@ -29,6 +32,7 @@ from helpers import (
     TableQ,
     first_persistent_m,
     interval_bounds_fraction,
+    offset_disjunction_records,
     scan_hits,
     smallest_clique_size_bisection as _smallest_clique_size,
     smallest_clique_size_linear,
@@ -137,24 +141,37 @@ def test_complement_symmetry():
 
 def test_scan_offset_disjunction_exploration():
     recs = scan_offset_disjunction(5, 100)
-    by_m = {rec["m"]: rec for rec in recs}
+    by_m = {row[6]: row for row in recs}
     assert set(by_m) == {m for m in range(5, 101) if m % 4 in (0, 1)}
-    assert by_m[40]["which"] == "center"
-    assert (by_m[40]["L0"], by_m[40]["R0"]) == (29, 28)
-    assert by_m[13]["which"] == "none"
-    assert by_m[13]["L6m"] is None  # below the offset envelope
-    assert by_m[740]["which"] != "none" if 740 in by_m else True
+    assert by_m[40][7] == "center"
+    assert (by_m[40][0], by_m[40][3]) == (29, 28)
+    assert by_m[13][7] == "none"
+    assert by_m[13][1] is None  # below the offset envelope
+    assert by_m[740][7] != "none" if 740 in by_m else True
 
 
 def test_scan_offset_disjunction_assert_mode():
     recs = list(scan_offset_disjunction(740, 2000, assert_all=True))
-    assert all(rec["which"] != "none" for rec in recs)
+    assert all(row[7] != "none" for row in recs)
     with pytest.raises(ScanAssertionError):
         list(scan_offset_disjunction(13, 13, assert_all=True))
 
 
+def test_offset_envelope_boundary():
+    # OFFSET_M is the least m >= 5 whose +/-6m pairs are inside the envelope,
+    # and every m from it on is inside
+    assert [m for m in range(5, 2000) if _in_envelope(m, 6 * m)] == list(range(OFFSET_M, 2000))
+    by_m = {row[6]: row for row in scan_offset_disjunction(32, 37)}
+    assert list(by_m) == [32, 33, 36, 37]
+    for m in (32, 33):
+        assert by_m[m][1:3] + by_m[m][4:6] == (None,) * 4, m
+    for m in (36, 37):
+        assert all(isinstance(v, int) for v in by_m[m][:7]), m
+    assert by_m[37][7] == "none"  # both branches miss just past the boundary
+
+
 def _offset_record_from_lr_values(m):
-    # the scanner's record rebuilt with one lr_values call per q, the
+    # the scanner's row rebuilt with one lr_values call per q, the
     # reference for its shared radicand pair shifted by -/+48m
     l0, r0 = lr_values(m, 0)
     l6 = r6 = lm6 = rm6 = offset = None
@@ -162,8 +179,7 @@ def _offset_record_from_lr_values(m):
         (l6, r6), (lm6, rm6) = lr_values(m, 6 * m), lr_values(m, -6 * m)
         offset = l6 > r6 and lm6 > rm6
     which = "center" if l0 > r0 else ("offset6m" if offset else "none")
-    return {"m": m, "which": which, "L0": l0, "R0": r0, "L6m": l6, "R6m": r6,
-            "Lneg6m": lm6, "Rneg6m": rm6}
+    return (l0, l6, lm6, r0, r6, rm6, m, which)
 
 
 def test_scanners_are_generators_in_m_order():
@@ -179,16 +195,28 @@ def test_scanners_are_generators_in_m_order():
     expected = [_offset_record_from_lr_values(m)
                 for m in range(5, 401) if m % 4 in (0, 1)]
     assert list(scan_offset_disjunction(5, 400)) == expected
-    assert any(rec["L6m"] is not None for rec in expected)
+    assert any(row[1] is not None for row in expected)
+
+
+def test_scan_offset_disjunction_matches_record_reference():
+    # fields in SCAN_T4_FIELDS order, and the failures of assertion mode as
+    # the reference's dicts
+    want = offset_disjunction_records(1, 3000)
+    assert [dict(zip(SCAN_T4_FIELDS, row)) for row in scan_offset_disjunction(1, 3000)] == want
+    with pytest.raises(ScanAssertionError) as info:
+        list(scan_offset_disjunction(1, 3000, assert_all=True))
+    assert info.value.failures == [rec for rec in want if rec["which"] == "none"]
+    assert str(info.value) == (f"{len(info.value.failures)} m values satisfy neither "
+                               f"branch (first: m=13)")
 
 
 def test_first_persistent_m_is_an_observation():
     recs = list(scan_offset_disjunction(5, 900))
     boundary = first_persistent_m(recs)
     assert boundary is not None
-    tail = [rec for rec in recs if rec["m"] >= boundary]
-    assert tail and all(rec["which"] != "none" for rec in tail)
-    assert any(rec["which"] == "none" for rec in recs if rec["m"] < boundary)
+    tail = [row for row in recs if row[6] >= boundary]
+    assert tail and all(row[7] != "none" for row in tail)
+    assert any(row[7] == "none" for row in recs if row[6] < boundary)
 
 
 def test_scan_affine_q_zero_q_contains_M_prefix():

@@ -7,8 +7,11 @@ range scanners became generators, the next one, the only JSON scan-t4
 range that writes null floors and "which":"none", before scan-t4 records
 were written from a fixed line format, and the last one, the only n = 10
 window, which has a counterexample, before canon found twins once per
-labelling and returned its canonical order in place of the orbits.  A
-refactor that changes a byte of output fails here.
+labelling and returned its canonical order in place of the orbits, and the
+two n >= 8 sweeps before the class stream dropped the classes that arrow the
+pair.  The stderr of a failing scan-t4 --assert run, whose failure records
+are rebuilt from the scanner's rows, was recorded before the scanner yielded
+rows in place of dicts.  A refactor that changes a byte of output fails here.
 
 Regenerate a hash only for a deliberate output change, by running the argv
 through ``avoidpairs.cli.main`` and taking the sha256 of stdout.
@@ -102,6 +105,15 @@ GOLDEN = [
      'dcbf211c10201f60017121a06eaaff3e39bfc65e918c8fd0ce7e7ff90ae1afcc'),
     (['oracle', 'arrows', '--n', '10', '--e', '6', '--m', '4', '--f', '3'], 0,
      '55119832e468633ad6bcd38b6f2c4b6af07f216ac58f0102c29139cf21a8d094'),
+    (['oracle', 'sn', '--n', '8', '--m', '6', '--f', '7'], 0,
+     'be96203abc6046c693a84045596af3a215045c82d6e3f1bad6ed82a2a8801321'),
+    (['oracle', 'sn', '--n', '9', '--m', '4', '--f', '3'], 0,
+     'c4284d8f311c49e7f523e011024218cf11cbc884ffd809d33d9f2dba90f7c2d2'),
+]
+
+GOLDEN_STDERR = [
+    (['criterion', 'scan-t4', '--from', '5', '--to', '900', '--assert'], 4,
+     'b9f80c089dffdf50e16bbc9cba145ca76954eaae8f600c6f79aea9c4bddaf89b'),
 ]
 
 
@@ -115,3 +127,12 @@ def test_stdout_matches_golden_hash(capsys, tmp_path, argv, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN_STDERR, ids=[" ".join(argv) for argv, _, _ in GOLDEN_STDERR]
+)
+def test_stderr_matches_golden_hash(capsys, argv, code, digest):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert hashlib.sha256(err.encode()).hexdigest() == digest

@@ -22,8 +22,10 @@ from avoidpairs.oracle import (
 from helpers import (
     class_counts,
     classes_by_set_dedup,
+    failing_classes,
     induced_size_set,
     labeled_class_counts,
+    least_failures_reference,
     sorted_classes,
 )
 
@@ -88,8 +90,9 @@ def test_level_8_bytes_are_pinned():
     assert digest.hexdigest() == "2415a1e55618d429e08e9b28ac59a8ea8e97f81ad24069d6fa3f383a7ce2a03c"
 
 
-def _labelled_build(monkeypatch, n, e_lo, e_hi):
-    """The classes of one window and the argument tuple of each labelling."""
+def _labelled_build(monkeypatch, n, e_lo, e_hi, pair=None):
+    """The classes of one window (that do not arrow the pair, if one is
+    given) and the argument tuple of each labelling."""
     calls = []
     labelling = oracle.canonical_rows
 
@@ -98,7 +101,7 @@ def _labelled_build(monkeypatch, n, e_lo, e_hi):
         return labelling(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "canonical_rows", counted)
-    return list(_classes(n, e_lo, e_hi)), calls
+    return list(_classes(n, e_lo, e_hi, pair)), calls
 
 
 def test_level_7_build_labels_each_surviving_candidate_once(monkeypatch):
@@ -117,6 +120,37 @@ def test_sparse_window_labellings_are_pinned(monkeypatch):
     window, calls = _labelled_build(monkeypatch, 10, 5, 5)
     assert len(window) == len(set(window)) == 26
     assert len(calls) == 224
+
+
+def test_pruned_level_7_labellings_are_pinned(monkeypatch):
+    # children that arrow (4, 3) through the new vertex are dropped before
+    # any labelling, and so is everything that would grow from them
+    level, calls = _labelled_build(monkeypatch, 7, 0, binom2(7), PairMF(4, 3))
+    assert sorted(level) == sorted(failing_classes(7, PairMF(4, 3)))
+    assert len(calls) == 66
+
+
+def test_pruned_stream_matches_unpruned_reference():
+    # the pruned stream is exactly the classes that fail the pair, and the
+    # S_n report built from it matches the unpruned stream decided by arrows
+    cases = [(n, PairMF(m, f)) for n in range(1, 7) for m in range(1, n + 1)
+             for f in range(binom2(m) + 1)]
+    cases += [(7, PairMF(m, f)) for m in range(1, 5) for f in range(binom2(m) + 1)]
+    for n, pair in cases:
+        total = binom2(n)
+        assert sorted(_classes(n, 0, total, pair)) == sorted(failing_classes(n, pair)), (n, pair)
+        least = least_failures_reference(n, pair)
+        report = compute_S_n(n, pair)
+        assert report.S == tuple(e for e in range(total + 1) if e not in least), (n, pair)
+        assert report.counterexamples == {e: to_graph6(g) for e, g in least.items()}, (n, pair)
+
+
+def test_one_vertex_root_is_pruned():
+    # every graph has a vertex, which induces (1, 0): nothing fails
+    assert list(_classes(1, 0, 0, PairMF(1, 0))) == []
+    report = compute_S_n(1, PairMF(1, 0))
+    assert (report.S, report.counterexamples) == ((0,), {})
+    assert compute_S_n(4, PairMF(1, 0)).S == tuple(range(binom2(4) + 1))
 
 
 def test_labeled_recount_matches_augmentation():

@@ -5,6 +5,8 @@ canonical labelling under relabelling and the automorphisms it records, and
 the arrowing decision against the full induced-size set, over inputs drawn by
 hypothesis."""
 
+import contextlib
+import io
 import itertools
 import random
 
@@ -12,19 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoidpairs.canon import canonical_rows, orbit
-from avoidpairs.cli import dump_json, scan_t4_line
+from avoidpairs.cli import dump_json, main
 from avoidpairs.criterion import (
     PairMF,
     Realizable,
     _interval_bounds,
     clique_forest_realizable,
-    scan_offset_disjunction,
 )
 from avoidpairs.errors import DomainError
 from avoidpairs.exactarith import binom2, surd_floor
 from avoidpairs.graphs import Graph, from_graph6, to_graph6
 from avoidpairs.oracle import arrows
-from helpers import induced_size_set, interval_bounds_fraction, smallest_clique_size_linear
+from helpers import (
+    induced_size_set,
+    interval_bounds_fraction,
+    offset_disjunction_records,
+    smallest_clique_size_linear,
+)
 
 
 def surd_floor_bisection(c, d):
@@ -78,11 +84,14 @@ def test_interval_bounds_match_the_rational_reference(m):
     assert _interval_bounds(m) == interval_bounds_fraction(m)
 
 
-@given(st.integers(5, 10**6), st.integers(0, 200))
+@given(st.one_of(st.integers(1, 60), st.integers(5, 10**6)), st.integers(0, 200))
 @settings(max_examples=200, deadline=None)
 def test_scan_t4_line_matches_dump_json(m_lo, width):
-    for rec in scan_offset_disjunction(m_lo, m_lo + width):
-        assert scan_t4_line(rec) == dump_json(rec) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["criterion", "scan-t4", "--from", str(m_lo), "--to", str(m_lo + width)]) == 0
+    want = [dump_json(rec) + "\n" for rec in offset_disjunction_records(m_lo, m_lo + width)]
+    assert out.getvalue().splitlines(keepends=True) == want
 
 
 @given(st.integers(0, 300), st.floats(0, 1), st.integers(0, 2**32 - 1))
