@@ -69,19 +69,48 @@ EPILOG = (
 dump_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def json_line(obj) -> str:
+    return dump_json(obj) + "\n"
+
+
 def emit(obj, out=None) -> None:
-    (out or sys.stdout).write(dump_json(obj) + "\n")
+    (out or sys.stdout).write(json_line(obj))
+
+
+# Lines per stdout write in write_lines.  Under python -u or PYTHONUNBUFFERED
+# sys.stdout passes every write straight to the system, so a write per line
+# is a system call per line.  Over 50,001 scan-t4 rows, 256-line blocks cost
+# 0.1 MB of peak RSS and 4096-line blocks 1.5 MB (15.3 MB without blocks).
+BLOCK_LINES = 256
+
+
+def write_lines(lines) -> None:
+    """Write an iterable of lines to stdout, BLOCK_LINES lines per write.
+    If `lines` raises (a failed --assert, after its last row), the lines it
+    made before still go out, then the exception propagates: list.extend
+    keeps the items it took before its iterator raised."""
+    lines = iter(lines)
+    block = []
+    while True:
+        try:
+            block.extend(itertools.islice(lines, BLOCK_LINES))
+        finally:
+            if block:
+                sys.stdout.write("".join(block))
+        if len(block) < BLOCK_LINES:
+            return
+        block.clear()
 
 
 # One scan-t4 row (criterion.SCAN_T4_FIELDS, dump_json's sorted key order)
-# as its JSON line, without the encoder's per-call cost.  Safe because every
-# floor is an int and "which" is a plain ASCII word, so no value needs
-# escaping; None floors, below criterion.OFFSET_M, are written as null before
-# a row reaches it.  test_scan_t4_line_matches_dump_json keeps it equal to
-# dump_json.
+# as its JSON line: a bound str.__mod__, applied to the row tuple itself, with
+# %s in every slot.  Safe because every floor is an int and "which" is a
+# plain ASCII word, so no value needs escaping; None floors, below
+# criterion.OFFSET_M, are replaced by "null" before a row reaches it.
+# test_scan_t4_line_matches_dump_json keeps it equal to dump_json.
 _SCAN_T4_LINE = (
-    '{{"L0":{},"L6m":{},"Lneg6m":{},"R0":{},"R6m":{},"Rneg6m":{},"m":{},"which":"{}"}}\n'
-).format
+    '{"L0":%s,"L6m":%s,"Lneg6m":%s,"R0":%s,"R6m":%s,"Rneg6m":%s,"m":%s,"which":"%s"}\n'
+).__mod__
 
 
 def _frac_record(frac: exactarith.FixedPointFrac) -> dict:
@@ -133,9 +162,10 @@ def _parse_vertices(text: str, n: int) -> frozenset[int]:
 
 def cmd_pell(args) -> int:
     states = pell.pell_states() if args.raw else pell.m_states()
-    for state in itertools.islice(states, args.count):
-        emit({**state._asdict(), "m": state.m,
-              "checks": pell.verify_pell_state(state)})
+    write_lines(
+        json_line({**state._asdict(), "m": state.m, "checks": pell.verify_pell_state(state)})
+        for state in itertools.islice(states, args.count)
+    )
     return EXIT_OK
 
 
@@ -202,9 +232,9 @@ def cmd_criterion_scan_t4(args) -> int:
     # them on, the fixed format writes every row
     for row in rows:
         if row[1] is not None:
-            sys.stdout.writelines(itertools.starmap(_SCAN_T4_LINE, itertools.chain((row,), rows)))
+            write_lines(map(_SCAN_T4_LINE, itertools.chain((row,), rows)))
             break
-        sys.stdout.write(_SCAN_T4_LINE(*["null" if v is None else v for v in row]))
+        sys.stdout.write(_SCAN_T4_LINE(tuple("null" if v is None else v for v in row)))
     return EXIT_OK
 
 
@@ -219,8 +249,7 @@ def cmd_criterion_scan_t2(args) -> int:
             for sign in (1, -1)
         )
         return EXIT_OK
-    for rec in records:
-        emit(rec)
+    write_lines(map(json_line, records))
     return EXIT_OK
 
 
@@ -230,8 +259,7 @@ def cmd_criterion_scan_interval(args) -> int:
 
 
 def cmd_criterion_scan_mod23(args) -> int:
-    for rec in criterion.scan_mod23(args.from_m, args.to_m):
-        emit(rec)
+    write_lines(map(json_line, criterion.scan_mod23(args.from_m, args.to_m)))
     return EXIT_OK
 
 
@@ -422,127 +450,140 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for `argv`.  Every top-level command gets its parser, so
+    top-level help and usage errors are whole, but only the commands named
+    in `argv` get their arguments and subcommands; parse_args(argv) can
+    reach no other.  With no names it is the top and group parsers alone."""
+    named = set(argv)
     top = _Parser(prog="avoidpairs", epilog=EPILOG)
     top.add_argument("--fracbits", type=int, default=None,
                      help="fixed-point precision for diagnostics (32..1024)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pell", help="emit recursion states and their checks")
-    p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--raw", action="store_true",
-                   help="start at s=0 instead of the filtered set M")
-    p.set_defaults(handler=cmd_pell)
+    if "pell" in named:
+        p.add_argument("--count", type=_positive_int, required=True)
+        p.add_argument("--raw", action="store_true",
+                           help="start at s=0 instead of the filtered set M")
+        p.set_defaults(handler=cmd_pell)
 
     c = sub.add_parser("criterion", help="exact floor criterion and scanners",
                        epilog=EPILOG)
-    csub = c.add_subparsers(dest="subcommand", required=True)
+    if "criterion" in named:
+        csub = c.add_subparsers(dest="subcommand", required=True)
 
-    ce = csub.add_parser("eval")
-    ce.add_argument("--m", type=int, required=True)
-    ce.add_argument("--q", type=int, required=True)
-    ce.add_argument("--csv", action="store_true")
-    ce.set_defaults(handler=cmd_criterion_eval)
+        ce = csub.add_parser("eval")
+        ce.add_argument("--m", type=int, required=True)
+        ce.add_argument("--q", type=int, required=True)
+        ce.add_argument("--csv", action="store_true")
+        ce.set_defaults(handler=cmd_criterion_eval)
 
-    cc = csub.add_parser("cert")
-    cc.add_argument("--m", type=int, required=True)
-    cc.add_argument("--f", type=int, required=True)
-    cc.set_defaults(handler=cmd_criterion_cert)
+        cc = csub.add_parser("cert")
+        cc.add_argument("--m", type=int, required=True)
+        cc.add_argument("--f", type=int, required=True)
+        cc.set_defaults(handler=cmd_criterion_cert)
 
-    c4 = csub.add_parser("scan-t4")
-    c4.add_argument("--from", dest="from_m", type=int, required=True)
-    c4.add_argument("--to", dest="to_m", type=int, required=True)
-    c4.add_argument("--assert", dest="assert_all", action="store_true")
-    c4.add_argument("--csv", action="store_true")
-    c4.set_defaults(handler=cmd_criterion_scan_t4)
+        c4 = csub.add_parser("scan-t4")
+        c4.add_argument("--from", dest="from_m", type=int, required=True)
+        c4.add_argument("--to", dest="to_m", type=int, required=True)
+        c4.add_argument("--assert", dest="assert_all", action="store_true")
+        c4.add_argument("--csv", action="store_true")
+        c4.set_defaults(handler=cmd_criterion_scan_t4)
 
-    c2 = csub.add_parser("scan-t2")
-    c2.add_argument("--alpha", required=True, help="rational, e.g. 1/2")
-    c2.add_argument("--beta", required=True, help="rational, e.g. 0")
-    c2.add_argument("--from", dest="from_m", type=int, required=True)
-    c2.add_argument("--to", dest="to_m", type=int, required=True)
-    c2.add_argument("--csv", action="store_true")
-    c2.set_defaults(handler=cmd_criterion_scan_t2)
+        c2 = csub.add_parser("scan-t2")
+        c2.add_argument("--alpha", required=True, help="rational, e.g. 1/2")
+        c2.add_argument("--beta", required=True, help="rational, e.g. 0")
+        c2.add_argument("--from", dest="from_m", type=int, required=True)
+        c2.add_argument("--to", dest="to_m", type=int, required=True)
+        c2.add_argument("--csv", action="store_true")
+        c2.set_defaults(handler=cmd_criterion_scan_t2)
 
-    ci = csub.add_parser("scan-interval")
-    ci.add_argument("--m", type=int, required=True)
-    ci.set_defaults(handler=cmd_criterion_scan_interval)
+        ci = csub.add_parser("scan-interval")
+        ci.add_argument("--m", type=int, required=True)
+        ci.set_defaults(handler=cmd_criterion_scan_interval)
 
-    cm = csub.add_parser("scan-mod23")
-    cm.add_argument("--from", dest="from_m", type=int, required=True)
-    cm.add_argument("--to", dest="to_m", type=int, required=True)
-    cm.set_defaults(handler=cmd_criterion_scan_mod23)
+        cm = csub.add_parser("scan-mod23")
+        cm.add_argument("--from", dest="from_m", type=int, required=True)
+        cm.add_argument("--to", dest="to_m", type=int, required=True)
+        cm.set_defaults(handler=cmd_criterion_scan_mod23)
 
     w = sub.add_parser("witness", help="build and verify witness graphs")
-    wsub = w.add_subparsers(dest="subcommand", required=True)
+    if "witness" in named:
+        wsub = w.add_subparsers(dest="subcommand", required=True)
 
-    wb = wsub.add_parser("build")
-    wb.add_argument("--n", type=int, required=True)
-    wb.add_argument("--e", type=int, required=True)
-    wb.add_argument("--p", type=int, required=True)
-    wb.add_argument("--pair", help="verify against this pair, e.g. 40,390")
-    wb.add_argument("--graph6", help="write the graph6 encoding to this file")
-    wb.set_defaults(handler=cmd_witness_build)
+        wb = wsub.add_parser("build")
+        wb.add_argument("--n", type=int, required=True)
+        wb.add_argument("--e", type=int, required=True)
+        wb.add_argument("--p", type=int, required=True)
+        wb.add_argument("--pair", help="verify against this pair, e.g. 40,390")
+        wb.add_argument("--graph6", help="write the graph6 encoding to this file")
+        wb.set_defaults(handler=cmd_witness_build)
 
-    wv = wsub.add_parser("verify")
-    wv.add_argument("--graph6", required=True, help="file holding one graph6 line")
-    wv.add_argument("--pair", required=True)
-    wv.add_argument("--clique-vertices", required=True,
-                    help="comma-separated vertex list (may be empty: '')")
-    wv.add_argument("--complemented", action="store_true")
-    wv.add_argument("--p", type=int, default=None,
-                    help="girth bound (defaults to the pair's m)")
-    wv.set_defaults(handler=cmd_witness_verify)
+        wv = wsub.add_parser("verify")
+        wv.add_argument("--graph6", required=True, help="file holding one graph6 line")
+        wv.add_argument("--pair", required=True)
+        wv.add_argument("--clique-vertices", required=True,
+                            help="comma-separated vertex list (may be empty: '')")
+        wv.add_argument("--complemented", action="store_true")
+        wv.add_argument("--p", type=int, default=None,
+                            help="girth bound (defaults to the pair's m)")
+        wv.set_defaults(handler=cmd_witness_verify)
 
     o = sub.add_parser("oracle", help="brute-force enumeration oracles")
-    osub = o.add_subparsers(dest="subcommand", required=True)
+    if "oracle" in named:
+        osub = o.add_subparsers(dest="subcommand", required=True)
 
-    oa = osub.add_parser("arrows")
-    oa.add_argument("--n", type=int, required=True)
-    oa.add_argument("--e", type=int, required=True)
-    oa.add_argument("--m", type=int, required=True)
-    oa.add_argument("--f", type=int, required=True)
-    oa.add_argument("--query-guard", dest="query_guard", type=_positive_int)
-    oa.set_defaults(handler=cmd_oracle_arrows)
+        oa = osub.add_parser("arrows")
+        oa.add_argument("--n", type=int, required=True)
+        oa.add_argument("--e", type=int, required=True)
+        oa.add_argument("--m", type=int, required=True)
+        oa.add_argument("--f", type=int, required=True)
+        oa.add_argument("--query-guard", dest="query_guard", type=_positive_int)
+        oa.set_defaults(handler=cmd_oracle_arrows)
 
-    on = osub.add_parser("sn")
-    on.add_argument("--n", type=int, required=True)
-    on.add_argument("--m", type=int, required=True)
-    on.add_argument("--f", type=int, required=True)
-    on.add_argument("--csv", action="store_true")
-    on.set_defaults(handler=cmd_oracle_sn)
+        on = osub.add_parser("sn")
+        on.add_argument("--n", type=int, required=True)
+        on.add_argument("--m", type=int, required=True)
+        on.add_argument("--f", type=int, required=True)
+        on.add_argument("--csv", action="store_true")
+        on.set_defaults(handler=cmd_oracle_sn)
 
-    ox = osub.add_parser("xcheck-cf")
-    ox.add_argument("--max-m", dest="max_m", type=int, default=12)
-    ox.set_defaults(handler=cmd_oracle_xcheck_cf)
+        ox = osub.add_parser("xcheck-cf")
+        ox.add_argument("--max-m", dest="max_m", type=int, default=12)
+        ox.set_defaults(handler=cmd_oracle_xcheck_cf)
 
     b = sub.add_parser("bipartite", help="biclique-plus-forest constructions")
-    bsub = b.add_subparsers(dest="subcommand", required=True)
+    if "bipartite" in named:
+        bsub = b.add_subparsers(dest="subcommand", required=True)
 
-    br = bsub.add_parser("realize")
-    br.add_argument("--m", type=int, required=True)
-    br.add_argument("--f", type=int, required=True)
-    br.add_argument("--json", action="store_true")
-    br.add_argument("--complement", action="store_true",
-                    help="realize (m, m^2 - f) when f is above floor(m^2/2)")
-    br.set_defaults(handler=cmd_bipartite_realize)
+        br = bsub.add_parser("realize")
+        br.add_argument("--m", type=int, required=True)
+        br.add_argument("--f", type=int, required=True)
+        br.add_argument("--json", action="store_true")
+        br.add_argument("--complement", action="store_true",
+                            help="realize (m, m^2 - f) when f is above floor(m^2/2)")
+        br.set_defaults(handler=cmd_bipartite_realize)
 
     d = sub.add_parser("diag", help="equidistribution diagnostics")
-    dsub = d.add_subparsers(dest="subcommand", required=True)
+    if "diag" in named:
+        dsub = d.add_subparsers(dest="subcommand", required=True)
 
-    de = dsub.add_parser("equidist")
-    de.add_argument("--q", type=int, required=True)
-    de.add_argument("--n", type=int, required=True, help="sample count")
-    de.add_argument("--bins", type=_positive_int, required=True)
-    de.add_argument("--on-m", dest="on_m", action="store_true",
-                    help="sample over the set M instead of the stride-4 sequence")
-    de.set_defaults(handler=cmd_diag_equidist)
+        de = dsub.add_parser("equidist")
+        de.add_argument("--q", type=int, required=True)
+        de.add_argument("--n", type=int, required=True, help="sample count")
+        de.add_argument("--bins", type=_positive_int, required=True)
+        de.add_argument("--on-m", dest="on_m", action="store_true",
+                            help="sample over the set M instead of the stride-4 sequence")
+        de.set_defaults(handler=cmd_diag_equidist)
 
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.fracbits is None:
             args.fracbits = exactarith.DEFAULT_FRACBITS

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -16,10 +18,12 @@ from avoidpairs.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     dump_json,
     main,
 )
 from helpers import offset_disjunction_records
+from test_golden_stdout import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -114,18 +118,111 @@ def test_scan_t4_lines_at_the_offset_envelope(capsys):
     )
 
 
-def test_closed_stdout_exits_141_without_traceback():
-    src = pathlib.Path(avoidpairs.__file__).resolve().parents[1]
+def cli_env(unbuffered: bool) -> dict:
+    """The environment for a CLI subprocess, with PYTHONUNBUFFERED=1 (python
+    -u: every stdout write goes straight to the system) or without it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(avoidpairs.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_traceback(unbuffered):
     with subprocess.Popen(
         [sys.executable, "-m", "avoidpairs.cli", "criterion", "scan-t4",
          "--from", "740", "--to", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(unbuffered),
     ) as proc:
         assert json.loads(proc.stdout.readline())["m"] == 740
         proc.stdout.close()
         assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
         assert proc.stderr.read() == b""
+
+
+class CountingStdout:
+    """A stdout stand-in that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_scan_t4_writes_stdout_in_blocks(monkeypatch):
+    argv = ["criterion", "scan-t4", "--from", "50000", "--to", "150000"]
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == EXIT_OK
+    monkeypatch.undo()
+    rows = 50_001  # the m = 0, 1 (mod 4) in range
+    assert len(stdout.writes) <= math.ceil(rows / 256) + 2  # 198: blocks of 256 lines
+    out = "".join(stdout.writes)
+    assert out.count("\n") == rows
+    digest = {tuple(a): d for a, _, d in GOLDEN}[tuple(argv)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_failed_assert_keeps_every_row_on_stdout(capsys):
+    # 448 rows: 15 below the +/-6m envelope, then a full block and a partial one
+    argv = ["criterion", "scan-t4", "--from", "5", "--to", "900"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, asserted, _ = run_cli(capsys, *argv, "--assert")
+    assert code == EXIT_ASSERTION
+    assert plain.count("\n") == 448
+    assert asserted == plain
+
+
+def test_stdout_is_the_same_with_and_without_pythonunbuffered():
+    argv = [sys.executable, "-m", "avoidpairs.cli", "criterion", "scan-t4",
+            "--from", "5", "--to", "3000", "--assert"]
+    runs = [subprocess.run(argv, capture_output=True, env=cli_env(unbuffered), timeout=60)
+            for unbuffered in (True, False)]
+    assert runs[0].returncode == runs[1].returncode == EXIT_ASSERTION
+    assert runs[0].stdout == runs[1].stdout and runs[0].stdout.count(b"\n") == 1498
+    assert runs[0].stderr == runs[1].stderr
+
+
+GROUP_NAMES = ["pell", "criterion", "witness", "oracle", "bipartite", "diag"]
+PARSER_CASES = [
+    [], ["--help"], ["nosuch"], ["--fracbits"], ["--fracbits", "x", "pell", "--count", "1"],
+    ["pell"], ["pell", "--help"], ["pell", "--count", "0"],
+    ["criterion"], ["criterion", "--help"], ["criterion", "nosuch"],
+    ["criterion", "scan-t4", "--help"], ["criterion", "scan-t4", "--from", "x", "--to", "3"],
+    ["criterion", "cert", "--m", "3", "--f", "2", "extra"],
+    ["witness", "--help"], ["witness", "build"], ["witness", "verify", "--help"],
+    ["oracle", "--help"], ["oracle", "sn", "--help"], ["oracle", "arrows", "--query-guard", "x"],
+    ["bipartite", "--help"], ["bipartite", "realize", "--m"],
+    ["diag", "--help"], ["diag", "equidist", "--bins", "1/2"],
+]
+
+
+def parse_outcome(capsys, parser, argv):
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_for_argv_helps_and_refuses_as_the_whole_parser(capsys, argv):
+    whole = parse_outcome(capsys, build_parser(GROUP_NAMES), argv)
+    assert whole[0] is not None and whole[1] + whole[2]
+    assert parse_outcome(capsys, build_parser(argv), argv) == whole
+
+
+def test_parser_without_names_has_only_the_group_parsers():
+    groups = build_parser()._subparsers._group_actions[0].choices
+    assert list(groups) == GROUP_NAMES
+    # each group parser holds only its -h action
+    assert all(len(parser._actions) == 1 for parser in groups.values())
 
 
 def test_scan_t2(capsys):
