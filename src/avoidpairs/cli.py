@@ -113,6 +113,19 @@ _SCAN_T4_LINE = (
 ).__mod__
 
 
+# One scan-interval result (criterion.cert_row) as ",{...}", one bound
+# format per verdict with the keys of criterion.CERT_FIELDS in dump_json's
+# sorted order.  %s is safe for the same reason as in _SCAN_T4_LINE: the
+# values are ints and "direct" or "complement".
+# test_interval_rows_match_dump_json keeps them equal to dump_json.
+_INTERVAL_ROW = {
+    True: (',{"L_complement":%s,"L_direct":%s,"R_complement":%s,"R_direct":%s,'
+           '"certified":true,"f":%s}').__mod__,
+    False: (',{"certified":false,"direction":"%s","f":%s,"forest_edges":%s,'
+            '"forest_vertices":%s,"x":%s}').__mod__,
+}
+
+
 def _frac_record(frac: exactarith.FixedPointFrac) -> dict:
     return {"value": frac.value, "fracbits": frac.fracbits, "approx": float(frac)}
 
@@ -182,17 +195,28 @@ def _criterion_row(m: int, q: int, dy: int, dz: int, L: int, R: int) -> dict:
             "verdict": "L>R" if L > R else "L<=R"}
 
 
-def _csv_writer():
+class _EchoFile:
+    """A file whose write returns the text it is given.  csv.writer's
+    writerow returns what its file's write returns, so a writer on this
+    file turns a row into its CSV line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _write_csv(header, rows) -> None:
+    """header and rows as CSV lines, through write_lines."""
     import csv
-    return csv.writer(sys.stdout, lineterminator="\n")
+    writerow = csv.writer(_EchoFile(), lineterminator="\n").writerow
+    write_lines(map(writerow, itertools.chain((header,), rows)))
 
 
 def _write_criterion_csv(mq_pairs) -> None:
-    w = _csv_writer()
-    w.writerow(CRITERION_CSV_HEADER)
-    for m, q in mq_pairs:
+    def row(m: int, q: int):
         dy, dz = criterion.radicands(m, q)
-        w.writerow(_criterion_row(m, q, dy, dz, *criterion.lr_floors(dy, dz)).values())
+        return _criterion_row(m, q, dy, dz, *criterion.lr_floors(dy, dz)).values()
+
+    _write_csv(CRITERION_CSV_HEADER, itertools.starmap(row, mq_pairs))
 
 
 def cmd_criterion_eval(args) -> int:
@@ -254,7 +278,14 @@ def cmd_criterion_scan_t2(args) -> int:
 
 
 def cmd_criterion_scan_interval(args) -> int:
-    emit(criterion.scan_interval(args.m))
+    f_lo, f_hi, all_pass, rows = criterion.scan_interval(args.m)
+    # "results" is the last key, so the record with no results ends in "]}"
+    head = dump_json({"all_pass": all_pass, "empty": f_lo is None, "f_hi": f_hi,
+                      "f_lo": f_lo, "m": args.m, "results": []})[:-2]
+    lines = (_INTERVAL_ROW[certified](fields) for certified, fields in rows)
+    # every row starts with its comma but the first; an empty interval has none
+    first = next(lines, ",")[1:]
+    write_lines(itertools.chain((head, first), lines, ("]}\n",)))
     return EXIT_OK
 
 
@@ -354,11 +385,11 @@ def cmd_oracle_sn(args) -> int:
     pair = criterion.PairMF(args.m, args.f)
     report = oracle.compute_S_n(args.n, pair)
     if args.csv:
-        w = _csv_writer()
-        w.writerow(["e", "arrows", "counterexample"])
         in_s = set(report.S)
-        for e in range(exactarith.binom2(args.n) + 1):
-            w.writerow([e, e in in_s, "" if e in in_s else report.counterexamples[e]])
+        _write_csv(["e", "arrows", "counterexample"], (
+            [e, e in in_s, "" if e in in_s else report.counterexamples[e]]
+            for e in range(exactarith.binom2(args.n) + 1)
+        ))
         return EXIT_OK
     emit(
         {

@@ -223,7 +223,8 @@ QSpec = Callable[[int], int]
 # ---------------------------------------------------------------------------
 # Scanners.  Each is a generator in m order, so a caller can write each record
 # as soon as it is made: scan_offset_disjunction yields plain tuples, the
-# others plain dicts (JSON-ready).
+# others plain dicts (JSON-ready).  scan_interval, over f at one m, returns
+# its header values with a generator of tuple rows.
 
 # A scan_offset_disjunction row: its fields in order, which is also the sorted
 # key order of the JSON line written for it.
@@ -311,25 +312,26 @@ def scan_affine_q(q_of_m: QSpec, m_lo: int, m_hi: int) -> Iterator[dict]:
         }
 
 
-def cert_record(f: int, outcome: AvoidabilityCert | CertRejection) -> dict:
+# A certificate outcome as a row (certified, fields): the fields are the
+# values of CERT_FIELDS[certified], which is the sorted key order of its
+# record without "certified".
+CERT_FIELDS = {
+    True: ("L_complement", "L_direct", "R_complement", "R_direct", "f"),
+    False: ("direction", "f", "forest_edges", "forest_vertices", "x"),
+}
+
+
+def cert_row(f: int, outcome: AvoidabilityCert | CertRejection) -> tuple[bool, tuple]:
     if isinstance(outcome, AvoidabilityCert):
-        return {
-            "f": f,
-            "certified": True,
-            "L_direct": outcome.cert_direct.L,
-            "R_direct": outcome.cert_direct.R,
-            "L_complement": outcome.cert_complement.L,
-            "R_complement": outcome.cert_complement.R,
-        }
+        return True, (outcome.cert_complement.L, outcome.cert_direct.L,
+                      outcome.cert_complement.R, outcome.cert_direct.R, f)
     dec = outcome.decomposition
-    return {
-        "f": f,
-        "certified": False,
-        "direction": outcome.direction,
-        "x": dec.x,
-        "forest_vertices": dec.forest_vertices,
-        "forest_edges": dec.forest_edges,
-    }
+    return False, (outcome.direction, f, dec.forest_edges, dec.forest_vertices, dec.x)
+
+
+def cert_record(f: int, outcome: AvoidabilityCert | CertRejection) -> dict:
+    certified, fields = cert_row(f, outcome)
+    return {"certified": certified, **dict(zip(CERT_FIELDS[certified], fields))}
 
 
 def _interval_bounds(m: int) -> tuple[int, int]:
@@ -343,32 +345,35 @@ def _interval_bounds(m: int) -> tuple[int, int]:
             min(-((-center - width) // 40) - 1, binom2(m)))
 
 
-def scan_interval(m: int) -> dict:
-    """Certify every integer f' in the open interval of half-width 0.175*m
-    around m(m-1)/4; verdict is all-pass or the list of failing f'.
+def scan_interval(m: int) -> tuple[int | None, int | None, bool, Iterator[tuple]]:
+    """Certify every integer f in the open interval of half-width 0.175*m
+    around m(m-1)/4, as (f_lo, f_hi, all_pass, rows): rows yields
+    cert_row(f, avoidability_certificate((m, f))) for f = f_lo..f_hi, made
+    one at a time as they are drawn.
+
+    all_pass, whether every f is certified, is decided before any row, by
+    the direct orientations alone, stopping at the first realizable one.
+    That suffices because the interval is closed under f -> binom2(m) - f:
+    the open interval is symmetric about binom2(m)/2, and so is its clipping
+    to [0, binom2(m)].  The complement orientation of each f is then the
+    direct orientation of another f in the interval, and every f is
+    certified iff every f is Impossible directly.
 
     Any m >= 1 is accepted: for m = 2, 3 (mod 4) the midpoint is half-integral
     and the certificates come from clique_forest_realizable alone.  The
-    interval can then be empty (m = 2), which is reported as such.
+    interval can then be empty (m = 2), reported as f_lo = f_hi = None,
+    all_pass False and no rows.
     """
     if m < 1:
         raise DomainError(f"scan_interval needs m >= 1, got {m}")
     f_lo, f_hi = _interval_bounds(m)
     if f_lo > f_hi:
-        return {"m": m, "empty": True, "f_lo": None, "f_hi": None,
-                "all_pass": False, "results": []}
-    results = [
-        cert_record(f, avoidability_certificate(PairMF(m, f)))
-        for f in range(f_lo, f_hi + 1)
-    ]
-    return {
-        "m": m,
-        "empty": False,
-        "f_lo": f_lo,
-        "f_hi": f_hi,
-        "all_pass": all(rec["certified"] for rec in results),
-        "results": results,
-    }
+        return None, None, False, iter(())
+    sizes = range(f_lo, f_hi + 1)
+    all_pass = all(isinstance(clique_forest_realizable(PairMF(m, f)), Impossible)
+                   for f in sizes)
+    rows = (cert_row(f, avoidability_certificate(PairMF(m, f))) for f in sizes)
+    return f_lo, f_hi, all_pass, rows
 
 
 def _realizability_record(pair: PairMF) -> dict:

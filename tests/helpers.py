@@ -11,7 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from avoidpairs.canon import _encode, canonical_rows
-from avoidpairs.criterion import PairMF, _in_envelope, lr_floors, radicands
+from avoidpairs.criterion import (
+    AvoidabilityCert,
+    PairMF,
+    _in_envelope,
+    avoidability_certificate,
+    lr_floors,
+    radicands,
+)
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph
@@ -122,6 +129,60 @@ def interval_bounds_fraction(m: int) -> tuple[int, int]:
     f_lo = math.floor(center - width) + 1
     f_hi = math.ceil(center + width) - 1
     return max(f_lo, 0), min(f_hi, binom2(m))
+
+
+def interval_result(f: int, outcome) -> dict:
+    """One scan-interval result as a dict: a certificate's four floors, or
+    the realizable orientation and its decomposition."""
+    if isinstance(outcome, AvoidabilityCert):
+        return {
+            "f": f,
+            "certified": True,
+            "L_direct": outcome.cert_direct.L,
+            "R_direct": outcome.cert_direct.R,
+            "L_complement": outcome.cert_complement.L,
+            "R_complement": outcome.cert_complement.R,
+        }
+    dec = outcome.decomposition
+    return {
+        "f": f,
+        "certified": False,
+        "direction": outcome.direction,
+        "x": dec.x,
+        "forest_vertices": dec.forest_vertices,
+        "forest_edges": dec.forest_edges,
+    }
+
+
+def interval_all_pass(m: int) -> bool:
+    """Reference for scan_interval's all_pass: every f in the interval gets
+    a certificate, both orientations decided; False for the empty
+    interval."""
+    f_lo, f_hi = interval_bounds_fraction(m)
+    return f_lo <= f_hi and all(
+        isinstance(avoidability_certificate(PairMF(m, f)), AvoidabilityCert)
+        for f in range(f_lo, f_hi + 1))
+
+
+def scan_interval_record(m: int) -> dict:
+    """Reference for criterion.scan_interval and the scan-interval JSON
+    line: the whole record as one dict, with every result built before it
+    is returned, the bounds in exact rationals, and all_pass read off the
+    results."""
+    f_lo, f_hi = interval_bounds_fraction(m)
+    if f_lo > f_hi:
+        return {"m": m, "empty": True, "f_lo": None, "f_hi": None,
+                "all_pass": False, "results": []}
+    results = [interval_result(f, avoidability_certificate(PairMF(m, f)))
+               for f in range(f_lo, f_hi + 1)]
+    return {
+        "m": m,
+        "empty": False,
+        "f_lo": f_lo,
+        "f_hi": f_hi,
+        "all_pass": all(rec["certified"] for rec in results),
+        "results": results,
+    }
 
 
 @dataclass(frozen=True)

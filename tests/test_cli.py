@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from avoidpairs.cli import (
     dump_json,
     main,
 )
-from helpers import offset_disjunction_records
+from helpers import offset_disjunction_records, scan_interval_record
 from test_golden_stdout import GOLDEN
 
 
@@ -142,28 +143,76 @@ def test_closed_stdout_exits_141_without_traceback(unbuffered):
 
 
 class CountingStdout:
-    """A stdout stand-in that keeps every write."""
+    """A stdout stand-in that counts writes and lines and hashes the text,
+    keeping none of it."""
 
     def __init__(self):
-        self.writes = []
+        self.writes = 0
+        self.lines = 0
+        self.sha256 = hashlib.sha256()
 
     def write(self, text):
-        self.writes.append(text)
+        self.writes += 1
+        self.lines += text.count("\n")
+        self.sha256.update(text.encode())
         return len(text)
+
+
+def run_counted(monkeypatch, argv) -> CountingStdout:
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(argv) == EXIT_OK
+    finally:
+        monkeypatch.undo()
+    return stdout
+
+
+GOLDEN_DIGEST = {tuple(argv): digest for argv, _, digest in GOLDEN}
 
 
 def test_scan_t4_writes_stdout_in_blocks(monkeypatch):
     argv = ["criterion", "scan-t4", "--from", "50000", "--to", "150000"]
-    stdout = CountingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(argv) == EXIT_OK
-    monkeypatch.undo()
+    stdout = run_counted(monkeypatch, argv)
     rows = 50_001  # the m = 0, 1 (mod 4) in range
-    assert len(stdout.writes) <= math.ceil(rows / 256) + 2  # 198: blocks of 256 lines
-    out = "".join(stdout.writes)
-    assert out.count("\n") == rows
-    digest = {tuple(a): d for a, _, d in GOLDEN}[tuple(argv)]
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert stdout.writes <= math.ceil(rows / 256) + 2  # 198: blocks of 256 lines
+    assert stdout.lines == rows
+    assert stdout.sha256.hexdigest() == GOLDEN_DIGEST[tuple(argv)]
+
+
+def test_csv_writes_stdout_in_blocks(monkeypatch):
+    argv = ["criterion", "scan-t4", "--from", "5", "--to", "900", "--csv"]
+    stdout = run_counted(monkeypatch, argv)
+    lines = 1315  # the header and one row per (m, q): 15 at q = 0, 433 at three q
+    assert stdout.writes <= math.ceil(lines / 256) + 2
+    assert stdout.lines == lines
+    assert stdout.sha256.hexdigest() == GOLDEN_DIGEST[tuple(argv)]
+
+
+def test_scan_interval_streams_in_flat_memory(monkeypatch):
+    argv = ["criterion", "scan-interval", "--m", "20000"]
+    run_counted(monkeypatch, [*argv[:-1], "3"])  # loads the modules it runs
+    tracemalloc.start()
+    try:
+        stdout = run_counted(monkeypatch, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 6999  # f = 99991501..99998499
+    # the whole 0.75 MB line took a 6.3 MB peak when it was built in memory
+    assert peak < 1 << 20
+    assert stdout.writes <= math.ceil(rows / 256) + 3
+    assert stdout.lines == 1
+    assert stdout.sha256.hexdigest() == GOLDEN_DIGEST[tuple(argv)]
+
+
+def test_interval_rows_match_dump_json(capsys):
+    # rows of all three kinds (certified, rejected direct, rejected
+    # complement) and 55 all_pass intervals; the empty one at m = 2
+    for m in range(1, 601):
+        code, out, _ = run_cli(capsys, "criterion", "scan-interval", "--m", str(m))
+        assert code == EXIT_OK
+        assert out == dump_json(scan_interval_record(m)) + "\n", m
 
 
 def test_failed_assert_keeps_every_row_on_stdout(capsys):

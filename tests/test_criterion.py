@@ -31,6 +31,7 @@ from avoidpairs.exactarith import binom2
 from helpers import (
     TableQ,
     first_persistent_m,
+    interval_all_pass,
     interval_bounds_fraction,
     offset_disjunction_records,
     scan_hits,
@@ -255,18 +256,20 @@ def test_table_q_spec():
 
 
 def test_scan_interval_m40():
-    rec = scan_interval(40)
-    assert (rec["f_lo"], rec["f_hi"]) == (384, 396)
-    certified = [r["f"] for r in rec["results"] if r["certified"]]
-    assert certified == [390]
-    assert rec["all_pass"] is False
+    f_lo, f_hi, all_pass, rows = scan_interval(40)
+    assert (f_lo, f_hi) == (384, 396)
+    # (L_complement, L_direct, R_complement, R_direct, f): CERT_FIELDS[True]
+    assert [row for row in rows if row[0]] == [(True, (29, 29, 28, 28, 390))]
+    assert all_pass is False
 
 
 def test_scan_interval_m4_and_empty():
-    rec = scan_interval(4)
-    assert (rec["f_lo"], rec["f_hi"]) == (3, 3)
-    assert rec["all_pass"] is False  # (4,3) is realizable as a path
-    assert scan_interval(2)["empty"] is True
+    f_lo, f_hi, all_pass, rows = scan_interval(4)
+    assert (f_lo, f_hi) == (3, 3)
+    assert all_pass is False  # (4,3) is realizable as a path
+    assert list(rows) == [(False, ("direct", 3, 3, 4, 0))]
+    f_lo, f_hi, all_pass, rows = scan_interval(2)
+    assert (f_lo, f_hi, all_pass, list(rows)) == (None, None, False, [])
     with pytest.raises(DomainError):
         scan_interval(0)
 
@@ -276,8 +279,21 @@ def test_interval_bounds_match_the_rational_reference():
         f_lo, f_hi = _interval_bounds(m)
         assert (f_lo, f_hi) == interval_bounds_fraction(m), m
         assert (f_lo > f_hi) == (m == 2), m
-    rec = scan_interval(1000)
-    assert (rec["f_lo"], rec["f_hi"]) == interval_bounds_fraction(1000)
+        # closed under f -> binom2(m) - f, which scan_interval's all_pass uses
+        assert m == 2 or f_lo + f_hi == binom2(m), m
+    f_lo, f_hi, _, _ = scan_interval(1000)
+    assert (f_lo, f_hi) == interval_bounds_fraction(1000)
+
+
+def test_scan_interval_all_pass_matches_every_certificate():
+    # 272 of the m up to 3000 are all_pass; tests/test_cli.py checks the rows
+    all_pass_count = 0
+    for m in range(1, 3001):
+        f_lo, f_hi, all_pass, _ = scan_interval(m)
+        want = (None, None) if m == 2 else interval_bounds_fraction(m)
+        assert (f_lo, f_hi, all_pass) == (*want, interval_all_pass(m)), m
+        all_pass_count += all_pass
+    assert all_pass_count == 272
 
 
 def test_scan_mod23_examples():

@@ -11,7 +11,10 @@ labelling and returned its canonical order in place of the orbits, and the
 two n >= 8 sweeps before the class stream dropped the classes that arrow the
 pair.  The stderr of a failing scan-t4 --assert run, whose failure records
 are rebuilt from the scanner's rows, was recorded before the scanner yielded
-rows in place of dicts.  A refactor that changes a byte of output fails here.
+rows in place of dicts.  The last five scan-interval hashes, among them the
+empty interval (m = 2) and an all_pass one (m = 19022), and its two refusals
+were recorded before scan-interval streamed its one JSON line.  A refactor
+that changes a byte of output fails here.
 
 Regenerate a hash only for a deliberate output change, by running the argv
 through ``avoidpairs.cli.main`` and taking the sha256 of stdout.
@@ -109,11 +112,30 @@ GOLDEN = [
      'be96203abc6046c693a84045596af3a215045c82d6e3f1bad6ed82a2a8801321'),
     (['oracle', 'sn', '--n', '9', '--m', '4', '--f', '3'], 0,
      'c4284d8f311c49e7f523e011024218cf11cbc884ffd809d33d9f2dba90f7c2d2'),
+    (['criterion', 'scan-interval', '--m', '1'], 0,
+     '656459f68fdffdcc7db98416cbfb2459b93c7fe0f6b8d2497a899f80c8283b7e'),
+    (['criterion', 'scan-interval', '--m', '2'], 0,
+     '982011c736f5b60bccf49993d6fc4ec4c707778bdc32b2ac24db35c853776a94'),
+    (['criterion', 'scan-interval', '--m', '3'], 0,
+     'f792e26261a3cfd5f4704e1439380406d16ff4be0dca4a5f2555bb513ac1f13b'),
+    (['criterion', 'scan-interval', '--m', '20000'], 0,
+     'ba14190b236aa5549c3647c1575b93358e5bb0483471d50ffea32b09b8492a4c'),
+    (['criterion', 'scan-interval', '--m', '19022'], 0,
+     '6a8087087e7a583098a9604bf660d761f37204fba5fb9470cccf575d345a3f7f'),
 ]
 
 GOLDEN_STDERR = [
     (['criterion', 'scan-t4', '--from', '5', '--to', '900', '--assert'], 4,
      'b9f80c089dffdf50e16bbc9cba145ca76954eaae8f600c6f79aea9c4bddaf89b'),
+]
+
+
+# refusals: exit code 2, no stdout byte, one JSON error line on stderr
+GOLDEN_REFUSALS = [
+    (['criterion', 'scan-interval', '--m', '0'],
+     '{"error":"scan_interval needs m >= 1, got 0","kind":"domain"}\n'),
+    (['criterion', 'scan-interval', '--m', '-5'],
+     '{"error":"scan_interval needs m >= 1, got -5","kind":"domain"}\n'),
 ]
 
 
@@ -136,3 +158,11 @@ def test_stderr_matches_golden_hash(capsys, argv, code, digest):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert hashlib.sha256(err.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,err", GOLDEN_REFUSALS, ids=[" ".join(argv) for argv, _ in GOLDEN_REFUSALS]
+)
+def test_refusal_matches_golden(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)

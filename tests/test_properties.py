@@ -1,16 +1,16 @@
 """Property tests: the surd floor against integer bisection, the floor
-decision against the linear reference, the scan-t4 line format against the
-JSON encoder, the graph6 round trip and its refusal of malformed text,
-canonical labelling under relabelling and the automorphisms it records, and
-the arrowing decision against the full induced-size set, over inputs drawn by
-hypothesis."""
+decision against the linear reference, the scan-t4 and scan-interval line
+formats against the JSON encoder, the graph6 round trip and its refusal of
+malformed text, canonical labelling under relabelling and the automorphisms
+it records, and the arrowing decision against the full induced-size set,
+over inputs drawn by hypothesis."""
 
 import contextlib
 import io
 import itertools
 import random
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from avoidpairs.canon import canonical_rows, orbit
@@ -29,6 +29,7 @@ from helpers import (
     induced_size_set,
     interval_bounds_fraction,
     offset_disjunction_records,
+    scan_interval_record,
     smallest_clique_size_linear,
 )
 
@@ -92,6 +93,17 @@ def test_scan_t4_line_matches_dump_json(m_lo, width):
         assert main(["criterion", "scan-t4", "--from", str(m_lo), "--to", str(m_lo + width)]) == 0
     want = [dump_json(rec) + "\n" for rec in offset_disjunction_records(m_lo, m_lo + width)]
     assert out.getvalue().splitlines(keepends=True) == want
+
+
+@given(st.integers(1, 10**5))
+@settings(max_examples=12, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_scan_interval_line_matches_dump_json(m):
+    # up to 35,000 rows a line, about a second each, so few examples and no
+    # shrinking; test_interval_rows_match_dump_json finds the least failing m
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["criterion", "scan-interval", "--m", str(m)]) == 0
+    assert out.getvalue() == dump_json(scan_interval_record(m)) + "\n"
 
 
 @given(st.integers(0, 300), st.floats(0, 1), st.integers(0, 2**32 - 1))
