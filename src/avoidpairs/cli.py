@@ -195,20 +195,12 @@ def _criterion_row(m: int, q: int, dy: int, dz: int, L: int, R: int) -> dict:
             "verdict": "L>R" if L > R else "L<=R"}
 
 
-class _EchoFile:
-    """A file whose write returns the text it is given.  csv.writer's
-    writerow returns what its file's write returns, so a writer on this
-    file turns a row into its CSV line."""
-
-    def write(self, text: str) -> str:
-        return text
-
-
 def _write_csv(header, rows) -> None:
-    """header and rows as CSV lines, through write_lines."""
-    import csv
-    writerow = csv.writer(_EchoFile(), lineterminator="\n").writerow
-    write_lines(map(writerow, itertools.chain((header,), rows)))
+    """header and rows as CSV lines, through write_lines.  A plain join
+    suffices: every field is an int, a bool, "", "L>R", "L<=R" or a graph6
+    string (bytes 63-126), none of which holds a comma, a quote or a line
+    break, so no field needs quoting."""
+    write_lines(",".join(map(str, row)) + "\n" for row in itertools.chain((header,), rows))
 
 
 def _write_criterion_csv(mq_pairs) -> None:
@@ -220,17 +212,12 @@ def _write_criterion_csv(mq_pairs) -> None:
 
 
 def cmd_criterion_eval(args) -> int:
-    if args.csv:
-        _write_criterion_csv([(args.m, args.q)])
-        return EXIT_OK
     ev = criterion.eval_criterion(args.m, args.q, args.fracbits)
-    emit(
-        {
-            **_criterion_row(ev.m, ev.q, ev.Dy, ev.Dz, ev.L, ev.R),
-            "frac_y": _frac_record(ev.frac_y),
-            "d_approx": _frac_record(ev.d_approx),
-        }
-    )
+    row = _criterion_row(ev.m, ev.q, ev.Dy, ev.Dz, ev.L, ev.R)
+    if args.csv:
+        _write_csv(CRITERION_CSV_HEADER, [row.values()])
+        return EXIT_OK
+    emit({**row, "frac_y": _frac_record(ev.frac_y), "d_approx": _frac_record(ev.d_approx)})
     return EXIT_OK
 
 
@@ -481,6 +468,66 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Option specs, (flag, add_argument keywords), named once where commands share them.
+REQUIRED_INT = {"type": int, "required": True}
+E, F, M, N, Q = (("--" + name, REQUIRED_INT) for name in "efmnq")
+FROM = ("--from", {"dest": "from_m", **REQUIRED_INT})
+TO = ("--to", {"dest": "to_m", **REQUIRED_INT})
+FLAG = {"action": "store_true"}
+CSV = ("--csv", FLAG)
+TOP_OPTIONS = (("--fracbits", {"type": int, "default": None,
+                               "help": "fixed-point precision for diagnostics (32..1024)"}),)
+
+# group -> (help, {leaf: (handler, options)}); pell's one leaf is None, the
+# group parser itself.  Handlers and option types are this module's own
+# functions, so building a parser executes no subcommand module.
+COMMANDS = {
+    "pell": ("emit recursion states and their checks", {
+        None: (cmd_pell, (("--count", {"type": _positive_int, "required": True}),
+                          ("--raw", {**FLAG, "help": "start at s=0 instead of the filtered set M"}))),
+    }),
+    "criterion": ("exact floor criterion and scanners", {
+        "eval": (cmd_criterion_eval, (M, Q, CSV)),
+        "cert": (cmd_criterion_cert, (M, F)),
+        "scan-t4": (cmd_criterion_scan_t4,
+                    (FROM, TO, ("--assert", {"dest": "assert_all", **FLAG}), CSV)),
+        "scan-t2": (cmd_criterion_scan_t2,
+                    (("--alpha", {"required": True, "help": "rational, e.g. 1/2"}),
+                     ("--beta", {"required": True, "help": "rational, e.g. 0"}), FROM, TO, CSV)),
+        "scan-interval": (cmd_criterion_scan_interval, (M,)),
+        "scan-mod23": (cmd_criterion_scan_mod23, (FROM, TO)),
+    }),
+    "witness": ("build and verify witness graphs", {
+        "build": (cmd_witness_build,
+                  (N, E, ("--p", REQUIRED_INT),
+                   ("--pair", {"help": "verify against this pair, e.g. 40,390"}),
+                   ("--graph6", {"help": "write the graph6 encoding to this file"}))),
+        "verify": (cmd_witness_verify,
+                   (("--graph6", {"required": True, "help": "file holding one graph6 line"}),
+                    ("--pair", {"required": True}),
+                    ("--clique-vertices", {"required": True,
+                                           "help": "comma-separated vertex list (may be empty: '')"}),
+                    ("--complemented", FLAG),
+                    ("--p", {"type": int, "help": "girth bound (defaults to the pair's m)"}))),
+    }),
+    "oracle": ("brute-force enumeration oracles", {
+        "arrows": (cmd_oracle_arrows, (N, E, M, F, ("--query-guard", {"type": _positive_int}))),
+        "sn": (cmd_oracle_sn, (N, M, F, CSV)),
+        "xcheck-cf": (cmd_oracle_xcheck_cf, (("--max-m", {"type": int, "default": 12}),)),
+    }),
+    "bipartite": ("biclique-plus-forest constructions", {
+        "realize": (cmd_bipartite_realize, (M, F, ("--json", FLAG), ("--complement", {
+            **FLAG, "help": "realize (m, m^2 - f) when f is above floor(m^2/2)"}))),
+    }),
+    "diag": ("equidistribution diagnostics", {
+        "equidist": (cmd_diag_equidist, (Q, ("--n", {**REQUIRED_INT, "help": "sample count"}),
+                                         ("--bins", {"type": _positive_int, "required": True}),
+                                         ("--on-m", {**FLAG, "help": "sample over the set M "
+                                                     "instead of the stride-4 sequence"}))),
+    }),
+}
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for `argv`.  Every top-level command gets its parser, so
     top-level help and usage errors are whole, but only the commands named
@@ -488,126 +535,20 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     reach no other.  With no names it is the top and group parsers alone."""
     named = set(argv)
     top = _Parser(prog="avoidpairs", epilog=EPILOG)
-    top.add_argument("--fracbits", type=int, default=None,
-                     help="fixed-point precision for diagnostics (32..1024)")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pell", help="emit recursion states and their checks")
-    if "pell" in named:
-        p.add_argument("--count", type=_positive_int, required=True)
-        p.add_argument("--raw", action="store_true",
-                           help="start at s=0 instead of the filtered set M")
-        p.set_defaults(handler=cmd_pell)
-
-    c = sub.add_parser("criterion", help="exact floor criterion and scanners",
-                       epilog=EPILOG)
-    if "criterion" in named:
-        csub = c.add_subparsers(dest="subcommand", required=True)
-
-        ce = csub.add_parser("eval")
-        ce.add_argument("--m", type=int, required=True)
-        ce.add_argument("--q", type=int, required=True)
-        ce.add_argument("--csv", action="store_true")
-        ce.set_defaults(handler=cmd_criterion_eval)
-
-        cc = csub.add_parser("cert")
-        cc.add_argument("--m", type=int, required=True)
-        cc.add_argument("--f", type=int, required=True)
-        cc.set_defaults(handler=cmd_criterion_cert)
-
-        c4 = csub.add_parser("scan-t4")
-        c4.add_argument("--from", dest="from_m", type=int, required=True)
-        c4.add_argument("--to", dest="to_m", type=int, required=True)
-        c4.add_argument("--assert", dest="assert_all", action="store_true")
-        c4.add_argument("--csv", action="store_true")
-        c4.set_defaults(handler=cmd_criterion_scan_t4)
-
-        c2 = csub.add_parser("scan-t2")
-        c2.add_argument("--alpha", required=True, help="rational, e.g. 1/2")
-        c2.add_argument("--beta", required=True, help="rational, e.g. 0")
-        c2.add_argument("--from", dest="from_m", type=int, required=True)
-        c2.add_argument("--to", dest="to_m", type=int, required=True)
-        c2.add_argument("--csv", action="store_true")
-        c2.set_defaults(handler=cmd_criterion_scan_t2)
-
-        ci = csub.add_parser("scan-interval")
-        ci.add_argument("--m", type=int, required=True)
-        ci.set_defaults(handler=cmd_criterion_scan_interval)
-
-        cm = csub.add_parser("scan-mod23")
-        cm.add_argument("--from", dest="from_m", type=int, required=True)
-        cm.add_argument("--to", dest="to_m", type=int, required=True)
-        cm.set_defaults(handler=cmd_criterion_scan_mod23)
-
-    w = sub.add_parser("witness", help="build and verify witness graphs")
-    if "witness" in named:
-        wsub = w.add_subparsers(dest="subcommand", required=True)
-
-        wb = wsub.add_parser("build")
-        wb.add_argument("--n", type=int, required=True)
-        wb.add_argument("--e", type=int, required=True)
-        wb.add_argument("--p", type=int, required=True)
-        wb.add_argument("--pair", help="verify against this pair, e.g. 40,390")
-        wb.add_argument("--graph6", help="write the graph6 encoding to this file")
-        wb.set_defaults(handler=cmd_witness_build)
-
-        wv = wsub.add_parser("verify")
-        wv.add_argument("--graph6", required=True, help="file holding one graph6 line")
-        wv.add_argument("--pair", required=True)
-        wv.add_argument("--clique-vertices", required=True,
-                            help="comma-separated vertex list (may be empty: '')")
-        wv.add_argument("--complemented", action="store_true")
-        wv.add_argument("--p", type=int, default=None,
-                            help="girth bound (defaults to the pair's m)")
-        wv.set_defaults(handler=cmd_witness_verify)
-
-    o = sub.add_parser("oracle", help="brute-force enumeration oracles")
-    if "oracle" in named:
-        osub = o.add_subparsers(dest="subcommand", required=True)
-
-        oa = osub.add_parser("arrows")
-        oa.add_argument("--n", type=int, required=True)
-        oa.add_argument("--e", type=int, required=True)
-        oa.add_argument("--m", type=int, required=True)
-        oa.add_argument("--f", type=int, required=True)
-        oa.add_argument("--query-guard", dest="query_guard", type=_positive_int)
-        oa.set_defaults(handler=cmd_oracle_arrows)
-
-        on = osub.add_parser("sn")
-        on.add_argument("--n", type=int, required=True)
-        on.add_argument("--m", type=int, required=True)
-        on.add_argument("--f", type=int, required=True)
-        on.add_argument("--csv", action="store_true")
-        on.set_defaults(handler=cmd_oracle_sn)
-
-        ox = osub.add_parser("xcheck-cf")
-        ox.add_argument("--max-m", dest="max_m", type=int, default=12)
-        ox.set_defaults(handler=cmd_oracle_xcheck_cf)
-
-    b = sub.add_parser("bipartite", help="biclique-plus-forest constructions")
-    if "bipartite" in named:
-        bsub = b.add_subparsers(dest="subcommand", required=True)
-
-        br = bsub.add_parser("realize")
-        br.add_argument("--m", type=int, required=True)
-        br.add_argument("--f", type=int, required=True)
-        br.add_argument("--json", action="store_true")
-        br.add_argument("--complement", action="store_true",
-                            help="realize (m, m^2 - f) when f is above floor(m^2/2)")
-        br.set_defaults(handler=cmd_bipartite_realize)
-
-    d = sub.add_parser("diag", help="equidistribution diagnostics")
-    if "diag" in named:
-        dsub = d.add_subparsers(dest="subcommand", required=True)
-
-        de = dsub.add_parser("equidist")
-        de.add_argument("--q", type=int, required=True)
-        de.add_argument("--n", type=int, required=True, help="sample count")
-        de.add_argument("--bins", type=_positive_int, required=True)
-        de.add_argument("--on-m", dest="on_m", action="store_true",
-                            help="sample over the set M instead of the stride-4 sequence")
-        de.set_defaults(handler=cmd_diag_equidist)
-
+    # (parser, handler, options); a subparser's defaults override the top's None
+    filled = [(top, None, TOP_OPTIONS)]
+    groups = top.add_subparsers(dest="command", required=True)
+    for group, (help_text, leaves) in COMMANDS.items():
+        parser = groups.add_parser(group, help=help_text, epilog=EPILOG)
+        if group in named and None in leaves:
+            filled.append((parser, *leaves[None]))
+        elif group in named:
+            sub = parser.add_subparsers(dest="subcommand", required=True)
+            filled += [(sub.add_parser(leaf), *spec) for leaf, spec in leaves.items()]
+    for parser, handler, options in filled:
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(handler=handler)
     return top
 
 

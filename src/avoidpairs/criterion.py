@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterator, Union
 
-from .errors import DomainError, ScanAssertionError
+from .errors import DomainError, GuardError, ScanAssertionError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, binom2, frac_sqrt_half, surd_floor
 from .records import Record
 
@@ -334,6 +334,11 @@ def cert_record(f: int, outcome: AvoidabilityCert | CertRejection) -> dict:
     return {"certified": certified, **dict(zip(CERT_FIELDS[certified], fields))}
 
 
+# scan_interval refuses an interval of more rows (about 0.35*m rows, so m up
+# to about 2.86 million is admitted; m = 10**6 takes about 5 s on the CLI)
+INTERVAL_ROW_GUARD = 10**6
+
+
 def _interval_bounds(m: int) -> tuple[int, int]:
     """The integers f in the open interval of half-width 0.175*m around
     m(m-1)/4, clipped to [0, binom2(m)], as (f_lo, f_hi); empty if f_lo > f_hi.
@@ -362,11 +367,15 @@ def scan_interval(m: int) -> tuple[int | None, int | None, bool, Iterator[tuple]
     Any m >= 1 is accepted: for m = 2, 3 (mod 4) the midpoint is half-integral
     and the certificates come from clique_forest_realizable alone.  The
     interval can then be empty (m = 2), reported as f_lo = f_hi = None,
-    all_pass False and no rows.
+    all_pass False and no rows.  More than INTERVAL_ROW_GUARD rows raise
+    GuardError before any work.
     """
     if m < 1:
         raise DomainError(f"scan_interval needs m >= 1, got {m}")
     f_lo, f_hi = _interval_bounds(m)
+    if f_hi - f_lo + 1 > INTERVAL_ROW_GUARD:
+        raise GuardError(f"scan_interval guard: {f_hi - f_lo + 1} rows at m={m} "
+                         f"exceed {INTERVAL_ROW_GUARD}")
     if f_lo > f_hi:
         return None, None, False, iter(())
     sizes = range(f_lo, f_hi + 1)

@@ -9,6 +9,8 @@ sup-norm discrepancy but O(N) to evaluate.
 
 from __future__ import annotations
 
+import math
+
 from .criterion import radicand_dy
 from .errors import DomainError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, frac_sqrt_half
@@ -35,15 +37,12 @@ def frac_y(m: int, q: int, fracbits: int = DEFAULT_FRACBITS) -> FixedPointFrac:
     return frac_sqrt_half(dy, fracbits)
 
 
-def _first_valid_m(q: int, stride: int) -> int:
-    # smallest m whose whole tail keeps the radicand non-negative: the
-    # radicand is increasing in stride*m from 3 on, so one check suffices
-    m = 1
-    while True:
-        v = stride * m
-        if v >= 3 and radicand_dy(v, q) >= 0:
-            return m
-        m += 1
+def _first_valid_m(q: int) -> int:
+    """Smallest m >= 1 whose whole stride-4 tail keeps the radicand
+    non-negative.  At v = 4m the radicand is ((2v - 5)^2 - 7)/2 - 8q,
+    increasing in v, so the condition is 8m - 5 >= ceil(sqrt(16q + 7))."""
+    root = math.isqrt(max(16 * q + 6, 0)) + 1  # ceil(sqrt(16q + 7)); 1 if that is <= 0
+    return (root + 12) // 8  # ceil((5 + root) / 8)
 
 
 def histogram_discrepancy(
@@ -92,7 +91,7 @@ def diag_equidist(
         hist, disc = histogram_discrepancy(values, fracbits, bins)
         return EquidistReport(q, 0, count, bins, fracbits, ms[0], hist, disc)
     stride = 4
-    m0 = _first_valid_m(q, stride)
+    m0 = _first_valid_m(q)
     values = [
         frac_y(stride * (m0 + i), q, fracbits).value for i in range(count)
     ]

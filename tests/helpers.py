@@ -17,6 +17,7 @@ from avoidpairs.criterion import (
     _in_envelope,
     avoidability_certificate,
     lr_floors,
+    radicand_dy,
     radicands,
 )
 from avoidpairs.errors import DomainError, GuardError
@@ -92,6 +93,16 @@ def smallest_clique_size_bisection(m: int, f: int) -> int | None:
         else:
             lo = mid + 1
     return lo if lo * (lo - 1) // 2 <= f else None
+
+
+def first_valid_m_walk(q: int) -> int:
+    """Smallest m whose whole stride-4 tail keeps the radicand non-negative,
+    by stepping m up by one: the radicand is increasing in 4m, so one check
+    suffices."""
+    m = 1
+    while radicand_dy(4 * m, q) < 0:
+        m += 1
+    return m
 
 
 def xcheck_lr_equivalence(m_lo: int, m_hi: int) -> dict:

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -62,6 +63,14 @@ def test_criterion_eval_json_and_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "m,q,Dy,Dz,L,R,verdict"
     assert lines[1] == "40,0,2809,3121,29,28,L>R"
+
+
+def test_criterion_eval_csv_refuses_before_its_header(capsys):
+    code, out, err = run_cli(capsys, "criterion", "eval", "--m", "3", "--q", "0", "--csv")
+    assert (code, out) == (EXIT_USAGE, "")
+    [line] = err.splitlines()
+    record = json.loads(line)
+    assert set(record) == {"error", "kind"} and record["kind"] == "domain"
 
 
 def test_criterion_cert(capsys):
@@ -204,6 +213,14 @@ def test_scan_interval_streams_in_flat_memory(monkeypatch):
     assert stdout.writes <= math.ceil(rows / 256) + 3
     assert stdout.lines == 1
     assert stdout.sha256.hexdigest() == GOLDEN_DIGEST[tuple(argv)]
+
+
+def test_scan_interval_above_the_row_guard_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "criterion", "scan-interval", "--m", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_GUARD, "")
+    assert json.loads(err)["kind"] == "guard"
 
 
 def test_interval_rows_match_dump_json(capsys):

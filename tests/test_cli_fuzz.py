@@ -6,7 +6,7 @@ their own handlers, so a bad name or import there shows up only here."""
 import json
 import random
 
-from avoidpairs.cli import main
+from avoidpairs.cli import COMMANDS, main
 
 # option value pools: (well-formed values, malformed values); graph orders
 # stay <= 7, so that every oracle call is fast
@@ -38,6 +38,12 @@ SPECS = {
     ("bipartite", "realize"): {"--m": INT, "--f": INT, "--json": FLAG, "--complement": FLAG},
     ("diag", "equidist"): {"--q": INT, "--n": INT, "--bins": N, "--on-m": FLAG},
 }
+
+
+def test_specs_cover_every_leaf_command():
+    leaves = {(group,) if leaf is None else (group, leaf)
+              for group, (_, commands) in COMMANDS.items() for leaf in commands}
+    assert set(SPECS) == leaves
 
 
 def random_argv(rng: random.Random, paths: dict) -> tuple[tuple[str, ...], list[str]]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from avoidpairs.criterion import (
+    INTERVAL_ROW_GUARD,
     OFFSET_M,
     SCAN_T4_FIELDS,
     AffineQ,
@@ -26,7 +27,7 @@ from avoidpairs.criterion import (
     scan_affine_q,
     scan_offset_disjunction,
 )
-from avoidpairs.errors import DomainError, ScanAssertionError
+from avoidpairs.errors import DomainError, GuardError, ScanAssertionError
 from avoidpairs.exactarith import binom2
 from helpers import (
     TableQ,
@@ -283,6 +284,21 @@ def test_interval_bounds_match_the_rational_reference():
         assert m == 2 or f_lo + f_hi == binom2(m), m
     f_lo, f_hi, _, _ = scan_interval(1000)
     assert (f_lo, f_hi) == interval_bounds_fraction(1000)
+
+
+def test_scan_interval_admits_up_to_the_row_guard():
+    def row_count(m):
+        f_lo, f_hi = _interval_bounds(m)
+        return f_hi - f_lo + 1
+
+    # about 0.35*m rows, so the edge lies near m = INTERVAL_ROW_GUARD / 0.35
+    window = range(int(INTERVAL_ROW_GUARD / 0.35) - 1000, int(INTERVAL_ROW_GUARD / 0.35) + 1000)
+    largest = max(m for m in window if row_count(m) <= INTERVAL_ROW_GUARD)
+    assert all(row_count(m) > INTERVAL_ROW_GUARD for m in window if m > largest)
+    f_lo, f_hi, _, _ = scan_interval(largest)  # its rows are not drawn
+    assert f_hi - f_lo + 1 == row_count(largest)
+    with pytest.raises(GuardError):
+        scan_interval(largest + 1)
 
 
 def test_scan_interval_all_pass_matches_every_certificate():

@@ -1,9 +1,12 @@
 """Histogram and discrepancy diagnostics."""
 
+import time
+
 import pytest
 
-from avoidpairs.equidist import diag_equidist, frac_y, histogram_discrepancy
+from avoidpairs.equidist import _first_valid_m, diag_equidist, frac_y, histogram_discrepancy
 from avoidpairs.errors import DomainError
+from helpers import first_valid_m_walk
 
 
 def test_histogram_mass_and_bounds():
@@ -48,3 +51,14 @@ def test_preconditions():
         histogram_discrepancy([0, 1], 8, 1)
     with pytest.raises(DomainError):
         frac_y(1, 50)  # negative radicand
+
+
+def test_first_valid_m_closed_form_equals_the_walk():
+    assert all(_first_valid_m(q) == first_valid_m_walk(q) for q in range(-2000, 2001))
+
+
+def test_huge_q_starts_without_a_walk():
+    start = time.perf_counter()
+    report = diag_equidist(10**16, 10, 2)
+    assert report.m_start == 50_000_001
+    assert time.perf_counter() - start < 1.0
