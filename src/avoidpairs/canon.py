@@ -5,8 +5,9 @@ partitions; the canonical form is the minimum upper-triangle encoding over all
 discrete partitions the search reaches.  Collapsing twin vertices (equal
 neighborhoods outside the pair), found once per graph, keeps high-symmetry
 graphs such as empty graphs, cliques, and unions of cliques from exploding the
-branch count.  A labelling returns the form, the canonical order, and
-generators of the automorphism group, under which ``orbit`` walks orbits.
+branch count.  A labelling returns the canonical code, the canonical order,
+and generators of the automorphism group, under which ``orbit`` walks
+orbits; ``rows_of`` turns a code back into rows.
 
 The entry points work on bare adjacency-row tuples.
 """
@@ -88,11 +89,15 @@ def root_partition(rows: tuple[int, ...], n: int) -> list[list[int]]:
     return _refine(rows, [list(range(n))], [(1 << n) - 1])
 
 
-def canonical_order_rows(
-    rows: tuple[int, ...], n: int, root: list[list[int]], generators: list[list[int]]
-) -> list[int]:
-    """A relabeling (new index -> old vertex) realizing the canonical form,
-    searched from ``root`` = root_partition(rows, n), for 1 <= n <= MAX_N.
+def canonical_rows(
+    rows: tuple[int, ...], n: int, root: list[list[int]] | None = None
+) -> tuple[int, list[int], list[list[int]]]:
+    """The canonical code (the least _encode over the leaves the search
+    reaches), the canonical order (new index -> old vertex) that encodes to
+    it, and generators of the automorphism group in the input's labels
+    (vertex -> image), for 0 <= n <= MAX_N.  ``root`` may pass
+    root_partition(rows, n) when the caller has it.  For one n, codes sort
+    as graph6 strings do, and rows_of(code, n) is the canonical graph.
 
     Twins (same neighbors outside the pair) are found once: non-adjacent
     twins have equal neighborhoods, adjacent ones equal closed
@@ -100,9 +105,8 @@ def canonical_order_rows(
     twins of both kinds, so one dict keyed by both finds each vertex's first
     twin in its root cell (a twin swap is an automorphism, so twins share
     one).  A node branches on the first vertex of each twin class in its
-    target cell.  The automorphisms appended to ``generators`` (vertex ->
-    image) are the swap of each vertex with its first twin and each leaf
-    tying the best encoding, mapped from the best leaf.
+    target cell.  The generators are the swap of each vertex with its first
+    twin and each leaf tying the best encoding, mapped from the best leaf.
 
     They generate Aut(G).  A node skips the child of w only when w is a twin
     of an explored sibling r; the swap of r and w, a product of recorded
@@ -114,6 +118,13 @@ def canonical_order_rows(
     leaf, recorded as the image of the first best leaf.  An automorphism is
     fixed by the image of one leaf, so g is a product of recorded generators.
     """
+    if n > MAX_N:
+        raise DomainError(f"canonical labeling supports n <= {MAX_N}, got {n}")
+    if n == 0:
+        return 0, [], []
+    if root is None:
+        root = root_partition(rows, n)
+    generators: list[list[int]] = []
     twin_class = list(range(n))
     for cell in root:
         if len(cell) == 1:
@@ -156,7 +167,20 @@ def canonical_order_rows(
             descend(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :], [1 << v]))
 
     descend(root)
-    return best_order
+    return best_enc, best_order, generators
+
+
+def rows_of(code: int, n: int) -> tuple[int, ...]:
+    """The adjacency rows that _encode maps to ``code`` under the identity
+    order: the graph a canonical code stands for."""
+    rows = [0] * n
+    for j in range(n - 1, 0, -1):
+        for i in range(j - 1, -1, -1):
+            if code & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            code >>= 1
+    return tuple(rows)
 
 
 def orbit(mask: int, generators: list[list[int]]) -> set[int]:
@@ -175,33 +199,3 @@ def orbit(mask: int, generators: list[list[int]]) -> set[int]:
                 found.add(out)
                 todo.append(out)
     return found
-
-
-def canonical_rows(
-    rows: tuple[int, ...], n: int, root: list[list[int]] | None = None
-) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
-    """Adjacency rows of the canonically labeled graph, the canonical order
-    (new index -> old vertex) that relabels the input into them, and
-    generators of the automorphism group in the input's labels (vertex ->
-    image); canonical_order_rows says why they generate it.  ``root`` may
-    pass root_partition(rows, n) when the caller has it."""
-    if n > MAX_N:
-        raise DomainError(f"canonical labeling supports n <= {MAX_N}, got {n}")
-    if n == 0:
-        return (), [], []
-    if root is None:
-        root = root_partition(rows, n)
-    generators: list[list[int]] = []
-    order = canonical_order_rows(rows, n, root, generators)
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    out = [0] * n
-    for old_u in range(n):
-        r = rows[old_u]
-        nu = pos[old_u]
-        while r:
-            b = r & -r
-            out[nu] |= 1 << pos[b.bit_length() - 1]
-            r ^= b
-    return tuple(out), order, generators

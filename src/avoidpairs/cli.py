@@ -360,8 +360,7 @@ def cmd_witness_verify(args) -> int:
 
 def cmd_oracle_arrows(args) -> int:
     pair = criterion.PairMF(args.m, args.f)
-    guard = oracle.DEFAULT_QUERY_GUARD if args.query_guard is None else args.query_guard
-    verdict = oracle.arrows_pair(args.n, args.e, pair, query_guard=guard)
+    verdict = oracle.arrows_pair(args.n, args.e, pair)
     g = verdict.counterexample
     emit({"n": verdict.n, "e": verdict.e, "pair": pair._asdict(),
           "arrows": verdict.arrows, "counterexample": to_graph6(g) if g else None})
@@ -511,7 +510,7 @@ COMMANDS = {
                     ("--p", {"type": int, "help": "girth bound (defaults to the pair's m)"}))),
     }),
     "oracle": ("brute-force enumeration oracles", {
-        "arrows": (cmd_oracle_arrows, (N, E, M, F, ("--query-guard", {"type": _positive_int}))),
+        "arrows": (cmd_oracle_arrows, (N, E, M, F)),
         "sn": (cmd_oracle_sn, (N, M, F, CSV)),
         "xcheck-cf": (cmd_oracle_xcheck_cf, (("--max-m", {"type": int, "default": 12}),)),
     }),

@@ -357,12 +357,21 @@ def scan_interval(m: int) -> tuple[int | None, int | None, bool, Iterator[tuple]
     one at a time as they are drawn.
 
     all_pass, whether every f is certified, is decided before any row, by
-    the direct orientations alone, stopping at the first realizable one.
-    That suffices because the interval is closed under f -> binom2(m) - f:
-    the open interval is symmetric about binom2(m)/2, and so is its clipping
-    to [0, binom2(m)].  The complement orientation of each f is then the
-    direct orientation of another f in the interval, and every f is
-    certified iff every f is Impossible directly.
+    the direct orientations alone.  That suffices because the interval is
+    closed under f -> binom2(m) - f: the open interval is symmetric about
+    binom2(m)/2, and so is its clipping to [0, binom2(m)].  The complement
+    orientation of each f is then the direct orientation of another f in
+    the interval, and every f is certified iff every f is Impossible
+    directly.
+
+    That takes one decision.  f lies in block R = surd_floor(1, 8f + 1), the
+    largest R with binom2(R) <= f (so R <= m).  K_x plus a forest on the
+    other m - x vertices has f edges iff binom2(x) <= f <= binom2(x) + m - x - 1
+    or f = binom2(x) with x = m, and in block R the lower bound holds
+    exactly for x <= R.  So the realizable f of a block are a prefix of it,
+    which holds binom2(R) (K_R plus isolated vertices).  If f_lo and f_hi
+    lie in different blocks, the first size of f_hi's block is realizable;
+    else every f is Impossible iff f_lo is.
 
     Any m >= 1 is accepted: for m = 2, 3 (mod 4) the midpoint is half-integral
     and the certificates come from clique_forest_realizable alone.  The
@@ -378,10 +387,10 @@ def scan_interval(m: int) -> tuple[int | None, int | None, bool, Iterator[tuple]
                          f"exceed {INTERVAL_ROW_GUARD}")
     if f_lo > f_hi:
         return None, None, False, iter(())
-    sizes = range(f_lo, f_hi + 1)
-    all_pass = all(isinstance(clique_forest_realizable(PairMF(m, f)), Impossible)
-                   for f in sizes)
-    rows = (cert_row(f, avoidability_certificate(PairMF(m, f))) for f in sizes)
+    all_pass = (surd_floor(1, 8 * f_lo + 1) == surd_floor(1, 8 * f_hi + 1)
+                and isinstance(clique_forest_realizable(PairMF(m, f_lo)), Impossible))
+    rows = (cert_row(f, avoidability_certificate(PairMF(m, f)))
+            for f in range(f_lo, f_hi + 1))
     return f_lo, f_hi, all_pass, rows
 
 
@@ -404,27 +413,13 @@ def scan_mod23(m_lo: int, m_hi: int) -> Iterator[dict]:
             continue
         total = binom2(m)
         f0 = total // 2  # total is odd here, so the complement size is f0 + 1
-        center = [
-            _realizability_record(PairMF(m, f0)),
-            _realizability_record(PairMF(m, total - f0)),
-        ]
-        rec = {
-            "m": m,
-            "f_center": f0,
-            "center": center,
-            "center_avoidable": not any(r["realizable"] for r in center),
-        }
-        f6 = f0 - 6 * m
-        if 0 <= f6 <= total:
-            offset = [
-                _realizability_record(PairMF(m, f6)),
-                _realizability_record(PairMF(m, total - f6)),
-            ]
-            rec["f_offset"] = f6
-            rec["offset"] = offset
-            rec["offset_avoidable"] = not any(r["realizable"] for r in offset)
-        else:
-            rec["f_offset"] = None
-            rec["offset"] = None
-            rec["offset_avoidable"] = None
+        rec = {"m": m}
+        for name, f in (("center", f0), ("offset", f0 - 6 * m)):
+            both = None
+            if 0 <= f <= total:
+                both = [_realizability_record(PairMF(m, f)),
+                        _realizability_record(PairMF(m, total - f))]
+            rec[f"f_{name}"] = f if both else None
+            rec[name] = both
+            rec[f"{name}_avoidable"] = not any(r["realizable"] for r in both) if both else None
         yield rec

@@ -10,12 +10,17 @@ sup-norm discrepancy but O(N) to evaluate.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, islice
+from typing import Iterable
 
 from .criterion import radicand_dy
-from .errors import DomainError
+from .errors import DomainError, GuardError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, frac_sqrt_half
-from .pell import generate_M
+from .pell import m_states
 from .records import Record
+
+# diag_equidist refuses a sample of more members of M (10,000 take 6-7 s)
+M_SAMPLE_GUARD = 10_000
 
 
 class EquidistReport(Record):
@@ -46,54 +51,48 @@ def _first_valid_m(q: int) -> int:
 
 
 def histogram_discrepancy(
-    values: list[int], fracbits: int, bins: int
+    values: Iterable[int], fracbits: int, bins: int
 ) -> tuple[tuple[int, ...], float]:
     """Bin fixed-point fractional parts and compute the boundary sup statistic.
 
-    values are numerators over 2**fracbits in [0, 2**fracbits).  Returns the
-    per-bin counts (mass sums to len(values)) and
+    values are numerators over 2**fracbits in [0, 2**fracbits), drawn one at
+    a time; there must be at least bins >= 2 of them, which diag_equidist
+    checks before any is made.  Returns the per-bin counts (mass sums to the
+    number of values) and
     max over k in 1..bins of |(count of first k bins)/N - k/bins|.
     """
-    if bins < 2:
-        raise DomainError(f"need at least 2 bins, got {bins}")
-    if len(values) < bins:
-        raise DomainError(f"need at least as many samples ({len(values)}) as bins ({bins})")
     hist = [0] * bins
     for v in values:
         hist[(v * bins) >> fracbits] += 1
-    n = len(values)
-    disc = 0.0
-    cum = 0
-    for k in range(1, bins + 1):
-        cum += hist[k - 1]
-        gap = abs(cum / n - k / bins)
-        if gap > disc:
-            disc = gap
+    n = sum(hist)
+    disc = max(abs(cum / n - k / bins) for k, cum in enumerate(accumulate(hist), 1))
     return tuple(hist), disc
 
 
-def diag_equidist(
-    q: int,
-    count: int,
-    bins: int,
-    fracbits: int = DEFAULT_FRACBITS,
-    restrict_to_M: bool = False,
-) -> EquidistReport:
-    """Histogram and discrepancy of the stride-4 fractional-part sequence.
+def diag_equidist(q: int, count: int, bins: int, fracbits: int = DEFAULT_FRACBITS,
+                  restrict_to_M: bool = False) -> EquidistReport:
+    """Histogram and discrepancy of the stride-4 fractional-part sequence,
+    streamed: memory does not grow with count.
 
     With restrict_to_M the sample points are the first `count` members of the
     certified order set M instead (stride reported as 0); with q = 0 their
     fractional parts are exactly 1/2, so all mass lands in the bin holding 1/2.
+    Members of M grow geometrically, so that sample costs more than linear
+    time, and more than M_SAMPLE_GUARD members raise GuardError; the stride-4
+    sequence is linear and has no guard.  Every refusal comes before any work.
     """
+    if bins < 2:
+        raise DomainError(f"need at least 2 bins, got {bins}")
+    if count < bins:
+        raise DomainError(f"need at least as many samples ({count}) as bins ({bins})")
     if restrict_to_M:
-        ms = generate_M(count)
-        values = [frac_y(m, q, fracbits).value for m in ms]
-        hist, disc = histogram_discrepancy(values, fracbits, bins)
-        return EquidistReport(q, 0, count, bins, fracbits, ms[0], hist, disc)
-    stride = 4
-    m0 = _first_valid_m(q)
-    values = [
-        frac_y(stride * (m0 + i), q, fracbits).value for i in range(count)
-    ]
+        if count > M_SAMPLE_GUARD:
+            raise GuardError(f"equidist guard: {count} members of M exceed {M_SAMPLE_GUARD}")
+        stride, m_start = 0, next(m_states()).m
+        ms: Iterable[int] = (state.m for state in islice(m_states(), count))
+    else:
+        stride, m_start = 4, _first_valid_m(q)
+        ms = range(stride * m_start, stride * (m_start + count), stride)
+    values = (frac_y(m, q, fracbits).value for m in ms)
     hist, disc = histogram_discrepancy(values, fracbits, bins)
-    return EquidistReport(q, stride, count, bins, fracbits, m0, hist, disc)
+    return EquidistReport(q, stride, count, bins, fracbits, m_start, hist, disc)

@@ -9,14 +9,14 @@ import math
 from itertools import combinations
 from typing import Iterator
 
-from .canon import MAX_N, _encode, canonical_rows, orbit, root_partition
+from .canon import canonical_rows, orbit, root_partition, rows_of
 from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
 from .graphs import Graph, girth, to_graph6
 from .records import Record
 
-DEFAULT_QUERY_GUARD = 10  # single (n, e) enumeration
+QUERY_GUARD = 10          # single (n, e) enumeration
 SWEEP_GUARD = 9           # full levels: S_n sweeps
 ORACLE_MAX_M = 12
 SUBSET_GUARD = 10**8      # comb(n, m) bounds the leaves of one subset search
@@ -37,10 +37,11 @@ def _completions(rows: tuple[int, ...], m: int, f: int, cap: int) -> list[tuple[
 
 def _classes(
     n: int, e_lo: int, e_hi: int, pair: PairMF | None = None
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[int]:
     """Yield each isomorphism class on n >= 1 vertices with e_lo <= e <= e_hi
-    edges once, as canonical rows, depth first (not in graph6 order); with a
-    pair, only the classes that do not arrow it.
+    edges once, as its canonical code (canon.canonical_rows), depth first
+    (not in graph6 order); with a pair, only the classes that do not arrow
+    it.
 
     Built by canonical augmentation (McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998).  The canonical deletion orbit of a
@@ -51,9 +52,9 @@ def _classes(
     image.  A child, parent + new vertex, is kept only if the new vertex lies
     in that orbit.  Cells of the root partition are unions of orbits, so a
     child whose new vertex is outside the last cell is rejected after one
-    refinement; the rest are labelled once, which gives the canonical form,
+    refinement; the rest are labelled once, which gives the canonical code,
     the canonical order, and generators of the automorphism group
-    (canon.canonical_order_rows proves they generate it), in the labels the
+    (canon.canonical_rows proves they generate it), in the labels the
     child was built with: the child is kept iff its canonically last vertex
     is in the orbit of the new one, and it uses the generators as a parent.
     The last cell holds only vertices of the largest degree, so most children
@@ -92,10 +93,10 @@ def _classes(
     # without a pair no graph reaches m = n + 1 vertices: nothing is dropped
     m, f = (pair.m, pair.f) if pair is not None else (n + 1, 0)
 
-    def grow(rows: tuple[int, ...], form: tuple[int, ...], generators: list[list[int]]):
+    def grow(rows: tuple[int, ...], code: int, generators: list[list[int]]):
         k = len(rows)
         if k == n:
-            yield form
+            yield code
             return
         cap_after = total - binom2(k + 1)  # edges still addable beyond k+1 vertices
         deg = [r.bit_count() for r in rows]
@@ -125,12 +126,12 @@ def _classes(
             root = root_partition(child, k + 1)
             if k not in root[-1]:
                 continue
-            child_form, order, child_generators = canonical_rows(child, k + 1, root)
+            child_code, order, child_generators = canonical_rows(child, k + 1, root)
             if 1 << order[k] in orbit(1 << k, child_generators):
-                yield from grow(child, child_form, child_generators)
+                yield from grow(child, child_code, child_generators)
 
     if m > 1:
-        yield from grow((0,), (0,), [])
+        yield from grow((0,), 0, [])
 
 
 def _refuse_pair(n: int, pair: PairMF) -> None:
@@ -141,27 +142,26 @@ def _refuse_pair(n: int, pair: PairMF) -> None:
         raise DomainError(f"pair order {pair.m} exceeds n={n}")
 
 
-def _refuse_query(n: int, e: int, query_guard: int) -> None:
+def _refuse_query(n: int, e: int) -> None:
     """The refusals of a single (n, e) query, in order."""
     if n < 1:
         raise DomainError(f"enumeration needs n >= 1, got {n}")
     if not 0 <= e <= binom2(n):
         raise DomainError(f"edge count must satisfy 0 <= e <= {binom2(n)}, got {e}")
-    guard = min(query_guard, MAX_N)  # canonical labelling stops at MAX_N
-    if n > guard:
-        raise GuardError(f"enumeration guard: n={n} exceeds {guard}")
+    if n > QUERY_GUARD:
+        raise GuardError(f"enumeration guard: n={n} exceeds {QUERY_GUARD}")
 
 
-def enumerate_graphs(n: int, e: int, query_guard: int = DEFAULT_QUERY_GUARD) -> Iterator[Graph]:
+def enumerate_graphs(n: int, e: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class with n vertices, e edges,
     in canonical (graph6) order.
 
     Only the edge window (e, e) is built, at every n, so a query never pays
-    for the classes of other edge counts; the window is sorted once built."""
-    _refuse_query(n, e, query_guard)
-    identity = list(range(n))
-    for rows in sorted(_classes(n, e, e), key=lambda rs: _encode(rs, identity)):
-        yield Graph(n, list(rows))
+    for the classes of other edge counts; the window's codes are sorted once
+    built."""
+    _refuse_query(n, e)
+    for code in sorted(_classes(n, e, e)):
+        yield Graph(n, list(rows_of(code, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +214,24 @@ class ArrowVerdict(Record):
 
 def _least_failures(n: int, e_lo: int, e_hi: int, pair: PairMF) -> dict[int, Graph]:
     """By e in increasing order, the class that fails to arrow the pair with
-    the least canonical encoding (graph6 order).  _classes yields only the
-    classes that fail."""
-    identity = list(range(n))
-    least: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for rows in _classes(n, e_lo, e_hi, pair):
-        e = sum(r.bit_count() for r in rows) // 2
-        code = _encode(rows, identity)
-        if e not in least or code < least[e][0]:
-            least[e] = (code, rows)
-    return {e: Graph(n, list(rows)) for e, (_, rows) in sorted(least.items())}
+    the least canonical code (graph6 order).  _classes yields only the
+    classes that fail, and a code has one bit per edge."""
+    least: dict[int, int] = {}
+    for code in _classes(n, e_lo, e_hi, pair):
+        e = code.bit_count()
+        if e not in least or code < least[e]:
+            least[e] = code
+    return {e: Graph(n, list(rows_of(code, n))) for e, code in sorted(least.items())}
 
 
-def arrows_pair(
-    n: int, e: int, pair: PairMF, query_guard: int = DEFAULT_QUERY_GUARD
-) -> ArrowVerdict:
+def arrows_pair(n: int, e: int, pair: PairMF) -> ArrowVerdict:
     """Does every graph with n vertices and e edges arrow the pair?
 
-    A returned counterexample is the lexicographically least canonical form
-    among the failures.
+    A returned counterexample is the failure with the least canonical code
+    (graph6 order).
     """
     _refuse_pair(n, pair)
-    _refuse_query(n, e, query_guard)
+    _refuse_query(n, e)
     g = _least_failures(n, e, e, pair).get(e)
     return ArrowVerdict(n, e, pair, g is None, g)
 
@@ -245,7 +241,8 @@ class ArrowReport(Record):
     rest, and the fixed-n fraction |S| / (binom2(n)+1).
 
     The fraction is an observation at this n only; it is not the limiting
-    density, whose bias at small n is unknown.
+    density, whose bias at small n is unknown.  Nor does an empty S at one n
+    bound n0: S of (5, 5) is empty at n = 6, 7 and 9 but is (14,) at n = 8.
     """
 
     n: int

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from avoidpairs.canon import _encode, canonical_rows
+from avoidpairs.canon import canonical_rows, rows_of
 from avoidpairs.criterion import (
     AvoidabilityCert,
     PairMF,
@@ -27,11 +27,11 @@ from avoidpairs.oracle import _classes, arrows
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, list(canonical_rows(tuple(g.rows), g.n)[0]))
+    return Graph(g.n, list(rows_of(canonical_rows(tuple(g.rows), g.n)[0], g.n)))
 
 
-def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Hashable isomorphism invariant: (n, canonical adjacency rows)."""
+def canonical_key(g: Graph) -> tuple[int, int]:
+    """Hashable isomorphism invariant: (n, canonical code)."""
     return (g.n, canonical_rows(tuple(g.rows), g.n)[0])
 
 
@@ -263,36 +263,34 @@ def first_persistent_m(rows: list[tuple]) -> int | None:
 
 
 @functools.cache
-def sorted_classes(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
-    """oracle._classes(n, e_lo, e_hi) in graph6 order, built once per test
-    session."""
-    identity = list(range(n))
-    return tuple(sorted(_classes(n, e_lo, e_hi), key=lambda rows: _encode(rows, identity)))
+def sorted_classes(n: int, e_lo: int, e_hi: int) -> tuple[int, ...]:
+    """The codes of oracle._classes(n, e_lo, e_hi) in graph6 order, built
+    once per test session."""
+    return tuple(sorted(_classes(n, e_lo, e_hi)))
 
 
 @functools.cache
-def failing_classes(n: int, pair: PairMF) -> tuple[tuple[int, ...], ...]:
-    """Reference for oracle._classes with a pair: the unpruned level on n
-    vertices in graph6 order, each class decided by oracle.arrows, keeping
-    those that do not arrow the pair."""
-    return tuple(rows for rows in sorted_classes(n, 0, binom2(n))
-                 if not arrows(Graph(n, list(rows)), pair))
+def failing_classes(n: int, pair: PairMF) -> tuple[int, ...]:
+    """Reference for oracle._classes with a pair: the codes of the unpruned
+    level on n vertices in graph6 order, each class decided by
+    oracle.arrows, keeping those that do not arrow the pair."""
+    return tuple(code for code in sorted_classes(n, 0, binom2(n))
+                 if not arrows(Graph(n, list(rows_of(code, n))), pair))
 
 
 def least_failures_reference(n: int, pair: PairMF) -> dict[int, Graph]:
     """Reference for oracle._least_failures over the full level: the first
     failing class in graph6 order at each e, by increasing e."""
     least: dict[int, Graph] = {}
-    for rows in failing_classes(n, pair):
-        least.setdefault(sum(r.bit_count() for r in rows) // 2, Graph(n, list(rows)))
+    for code in failing_classes(n, pair):
+        least.setdefault(code.bit_count(), Graph(n, list(rows_of(code, n))))
     return dict(sorted(least.items()))
 
 
 def class_counts(n: int) -> dict[int, int]:
     """Isomorphism-class counts on n vertices keyed by edge count, from the
     full level on n vertices."""
-    counts = Counter(sum(r.bit_count() for r in rows) // 2
-                     for rows in sorted_classes(n, 0, binom2(n)))
+    counts = Counter(code.bit_count() for code in sorted_classes(n, 0, binom2(n)))
     return dict(sorted(counts.items()))
 
 
@@ -302,7 +300,7 @@ def labeled_class_counts(n: int) -> dict[int, int]:
     if n > 6:
         raise GuardError(f"labeled recount is 2^binom2(n) work; n <= 6 only, got {n}")
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    seen: dict[int, set[tuple[int, ...]]] = {}
+    seen: dict[int, set[int]] = {}
     for word in range(1 << len(pairs)):
         rows = [0] * n
         for idx, (i, j) in enumerate(pairs):
@@ -314,18 +312,19 @@ def labeled_class_counts(n: int) -> dict[int, int]:
     return {e: len(forms) for e, forms in sorted(seen.items())}
 
 
-def classes_by_set_dedup(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...], ...]:
+def classes_by_set_dedup(n: int, e_lo: int, e_hi: int) -> tuple[int, ...]:
     """Reference for oracle._classes: extend every class on k vertices by
     every neighbor mask, label every child canonically and deduplicate in one
     set per level.  Children that can no longer reach the edge window are
-    dropped, as there.  Canonical rows in graph6 order."""
+    dropped, as there.  Canonical codes in graph6 order."""
     total = binom2(n)
-    level = {(0,)}
+    level = {0}  # the one graph on one vertex
     for k in range(1, n):
         cap_after = total - binom2(k + 1)
         nxt = set()
-        for parent in level:
-            e_parent = sum(r.bit_count() for r in parent) // 2
+        for code in level:
+            parent = rows_of(code, k)
+            e_parent = code.bit_count()
             for mask in range(1 << k):
                 e_child = e_parent + mask.bit_count()
                 if e_child > e_hi or e_child + cap_after < e_lo:
@@ -333,4 +332,4 @@ def classes_by_set_dedup(n: int, e_lo: int, e_hi: int) -> tuple[tuple[int, ...],
                 child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(parent)) + (mask,)
                 nxt.add(canonical_rows(child, k + 1)[0])
         level = nxt
-    return tuple(sorted(level, key=lambda rows: _encode(rows, list(range(n)))))
+    return tuple(sorted(level))

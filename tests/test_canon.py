@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from avoidpairs.canon import canonical_rows
+from avoidpairs.canon import canonical_rows, rows_of
 from avoidpairs.errors import DomainError
-from avoidpairs.graphs import Graph
+from avoidpairs.graphs import Graph, to_graph6
 
 from helpers import canonical_graph, canonical_key
 
@@ -59,6 +59,24 @@ def test_canonical_form_is_idempotent():
         assert canonical_graph(cg) == cg
 
 
+def test_codes_decode_to_their_class_and_sort_as_graph6():
+    # a code has one bit per edge, labels its own graph again, and for one n
+    # the order of codes is the order of the graph6 strings of their graphs
+    rng = random.Random(29)
+    for n in range(1, 9):
+        codes = set()
+        for _ in range(40):
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < 0.5])
+            code = canonical_rows(tuple(g.rows), n)[0]
+            rows = rows_of(code, n)
+            assert code.bit_count() == g.edge_count()
+            assert canonical_rows(rows, n)[0] == code
+            codes.add(code)
+        graph6 = [to_graph6(Graph(n, list(rows_of(code, n)))) for code in sorted(codes)]
+        assert graph6 == sorted(graph6)
+
+
 def test_high_symmetry_graphs_are_fast_and_stable():
     # twin collapsing keeps these from exploding; keys must still be invariant
     for g in (Graph(8), Graph(8).complement(),
@@ -80,7 +98,7 @@ def test_twin_classes_record_one_transposition_per_twin():
 def test_empty_single_vertex_and_oversized_inputs():
     # the n == 0 and n > 16 guards run before the root partition, which
     # cannot refine an empty vertex set
-    assert canonical_rows((), 0) == ((), [], [])
-    assert canonical_rows((0,), 1) == ((0,), [0], [])
+    assert canonical_rows((), 0) == (0, [], [])
+    assert canonical_rows((0,), 1) == (0, [0], [])
     with pytest.raises(DomainError):
         canonical_rows((0,) * 17, 17)

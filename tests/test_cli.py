@@ -261,7 +261,7 @@ PARSER_CASES = [
     ["criterion", "scan-t4", "--help"], ["criterion", "scan-t4", "--from", "x", "--to", "3"],
     ["criterion", "cert", "--m", "3", "--f", "2", "extra"],
     ["witness", "--help"], ["witness", "build"], ["witness", "verify", "--help"],
-    ["oracle", "--help"], ["oracle", "sn", "--help"], ["oracle", "arrows", "--query-guard", "x"],
+    ["oracle", "--help"], ["oracle", "sn", "--help"], ["oracle", "arrows", "--n", "x"],
     ["bipartite", "--help"], ["bipartite", "realize", "--m"],
     ["diag", "--help"], ["diag", "equidist", "--bins", "1/2"],
 ]
@@ -411,10 +411,10 @@ def test_oracle_commands(capsys):
 
 
 def test_query_above_the_labelling_limit_is_a_guard_refusal(capsys):
-    # canonical labelling stops at 16 vertices, so a larger --query-guard
-    # does not admit n = 17
+    # no option raises the query guard: n = 17, above the 16 vertices of
+    # canonical labelling, is the guard's refusal, not a domain error of canon
     code, out, err = run_cli(capsys, "oracle", "arrows", "--n", "17", "--e", "0",
-                             "--m", "3", "--f", "0", "--query-guard", "17")
+                             "--m", "3", "--f", "0")
     [line] = err.splitlines()
     assert code == EXIT_GUARD and out == "" and json.loads(line)["kind"] == "guard"
 
@@ -471,6 +471,13 @@ def test_diag_equidist(capsys):
     rec = json_lines(out)[0]
     assert rec["histogram"][5] == 10
 
+    # more than 10,000 members of M is a guard refusal before any work
+    code, out, err = run_cli(
+        capsys, "diag", "equidist", "--q", "0", "--n", "10001", "--bins", "10", "--on-m"
+    )
+    [line] = err.splitlines()
+    assert code == EXIT_GUARD and out == "" and json.loads(line)["kind"] == "guard"
+
 
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -511,7 +518,7 @@ def test_usage_errors_are_one_json_line(capsys, argv):
     "argv",
     [
         ["diag", "equidist", "--q", "1", "--n", "20", "--bins", "1/2"],
-        ["oracle", "arrows", "--n", "5", "--e", "3", "--m", "3", "--f", "1", "--query-guard", "x"],
+        ["pell", "--count", "1.5"],
     ],
 )
 def test_non_integer_counts_name_the_option_not_the_parser(capsys, argv):

@@ -9,7 +9,8 @@ import random
 from avoidpairs.cli import COMMANDS, main
 
 # option value pools: (well-formed values, malformed values); graph orders
-# stay <= 7, so that every oracle call is fast
+# stay <= 7, so that every oracle call is fast, and so do the oracle's pair
+# orders and edge counts, so that its calls are often in their domain
 JUNK = ["-3", "1.5", "1/2", "", "x"]
 INT = (["-1", "0", "1", "2", "3", "4", "5", "6", "7", "40", "221"], JUNK)
 N = (["-1", "0", "1", "2", "3", "4", "5", "6", "7"], JUNK)
@@ -31,9 +32,8 @@ SPECS = {
                            "--graph6": "out"},
     ("witness", "verify"): {"--graph6": "in", "--pair": PAIR, "--clique-vertices": VERTICES,
                             "--complemented": FLAG, "--p": INT},
-    ("oracle", "arrows"): {"--n": N, "--e": INT, "--m": INT, "--f": INT,
-                           "--query-guard": INT},
-    ("oracle", "sn"): {"--n": N, "--m": INT, "--f": INT, "--csv": FLAG},
+    ("oracle", "arrows"): {"--n": N, "--e": N, "--m": N, "--f": N},
+    ("oracle", "sn"): {"--n": N, "--m": N, "--f": N, "--csv": FLAG},
     ("oracle", "xcheck-cf"): {"--max-m": N},
     ("bipartite", "realize"): {"--m": INT, "--f": INT, "--json": FLAG, "--complement": FLAG},
     ("diag", "equidist"): {"--q": INT, "--n": INT, "--bins": N, "--on-m": FLAG},

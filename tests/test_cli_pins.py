@@ -11,7 +11,9 @@ and the test checks that the paragraph, exactly as the top-level help
 prints it, is what follows.
 
 Regenerate a pin only for a deliberate change to the parser, by running the
-argv through ``outcome`` and taking ``digest``.
+argv through ``outcome`` and taking ``digest``.  The ``oracle arrows --help``
+pin and the valueless ``--f`` pin of that leaf were taken when its
+``--query-guard`` option was removed.
 """
 
 import hashlib
@@ -36,7 +38,7 @@ LEAVES = {
     ("witness", "verify"): (["--graph6", "w.g6", "--pair", "5,5", "--clique-vertices", "0,1"],
                             ["--p"]),
     ("oracle", "arrows"): (["--n", "6", "--e", "7", "--m", "4", "--f", "3"],
-                           ["--n", "--e", "--m", "--f", "--query-guard"]),
+                           ["--n", "--e", "--m", "--f"]),
     ("oracle", "sn"): (["--n", "5", "--m", "3", "--f", "1"], ["--n", "--m", "--f"]),
     ("oracle", "xcheck-cf"): ([], ["--max-m"]),
     ("bipartite", "realize"): (["--m", "3", "--f", "4"], ["--m", "--f"]),
@@ -254,7 +256,7 @@ PINS = {
     'witness verify --graph6 w.g6 --pair 5,5 --clique-vertices 0,1 --p':
         'ad23a684b1c4329f7a2b7ade62ba591b4610a80334ab96960e64faf9da4d8d9c',
     'oracle arrows --help':
-        '83eea3810f600949c49d888e16c2ff25984e763f4297ccbdc1e11bc147885228',
+        '51c1585f04b7f5814bd62eda146edbe5b74df560ef7d03957c85df01537b7d60',
     'oracle arrows --e 7 --m 4 --f 3':
         'd4ccec4c41de70524370a75886942c6535ed2c2e5bd1404920a1a8b311df8ed6',
     'oracle arrows --n 6 --m 4 --f 3':
@@ -273,10 +275,8 @@ PINS = {
         '4d540b346fa78360258047a949a55ec95d250e98e667d85f7178f74ff2b1acda',
     'oracle arrows --n 6 --e 7 --m 4 --f x':
         '9580e689a9e02081dd2adc38bcf28a273cd8017d30848e5310f45dd8f946ecf7',
-    'oracle arrows --n 6 --e 7 --m 4 --f 3 --query-guard x':
-        'ab37435b665770912d653c3b6ffc00e74e2d4596a952416e7c237dd7ce1df8d3',
-    'oracle arrows --n 6 --e 7 --m 4 --f 3 --query-guard':
-        'e8758d6621984f2aa7eea3af2af4d9e3dbb876e7708185d98c8f3d90959a14e1',
+    'oracle arrows --n 6 --e 7 --m 4 --f 3 --f':
+        '5211d9400a4a8a76b28bb7ba023d5018c3f61928b8c72899e140d45da1bfc6b9',
     'oracle sn --help':
         'd67d0a6bb56876c49a34e5d99dbf852a48f96c097a496ad434760524d67c24b4',
     'oracle sn --m 3 --f 1':

@@ -1,11 +1,18 @@
 """Histogram and discrepancy diagnostics."""
 
 import time
+import tracemalloc
 
 import pytest
 
-from avoidpairs.equidist import _first_valid_m, diag_equidist, frac_y, histogram_discrepancy
-from avoidpairs.errors import DomainError
+from avoidpairs.equidist import (
+    M_SAMPLE_GUARD,
+    _first_valid_m,
+    diag_equidist,
+    frac_y,
+    histogram_discrepancy,
+)
+from avoidpairs.errors import DomainError, GuardError
 from helpers import first_valid_m_walk
 
 
@@ -48,7 +55,7 @@ def test_preconditions():
     with pytest.raises(DomainError):
         diag_equidist(0, 10, 40)  # fewer samples than bins
     with pytest.raises(DomainError):
-        histogram_discrepancy([0, 1], 8, 1)
+        diag_equidist(0, 10, 1)  # fewer than 2 bins
     with pytest.raises(DomainError):
         frac_y(1, 50)  # negative radicand
 
@@ -62,3 +69,25 @@ def test_huge_q_starts_without_a_walk():
     report = diag_equidist(10**16, 10, 2)
     assert report.m_start == 50_000_001
     assert time.perf_counter() - start < 1.0
+
+
+def test_sample_is_streamed():
+    # the values are binned as they are made: a held list of 20,000 took 1 MB
+    diag_equidist(0, 100, 10)  # first-call imports stay out of the peak
+    tracemalloc.start()
+    try:
+        diag_equidist(0, 20000, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 10
+
+
+def test_sample_over_M_is_guarded_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(GuardError):
+        diag_equidist(0, M_SAMPLE_GUARD + 1, 10, restrict_to_M=True)
+    assert time.perf_counter() - start < 0.1
+    # domain refusals come first
+    with pytest.raises(DomainError):
+        diag_equidist(0, M_SAMPLE_GUARD + 1, 1, restrict_to_M=True)

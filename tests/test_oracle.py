@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from avoidpairs import oracle
+from avoidpairs.canon import rows_of
 from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
@@ -63,7 +64,7 @@ def test_windowed_enumeration_agrees_with_full_cache():
     # S_n sweep streams
     for n, e in [(5, 4), (6, 7), (7, 0), (7, 21), (6, 15), (8, 3), (8, 14)]:
         full = sorted_classes(n, 0, binom2(n))
-        bucket = tuple(rows for rows in full if sum(r.bit_count() for r in rows) == 2 * e)
+        bucket = tuple(code for code in full if code.bit_count() == e)
         assert sorted_classes(n, e, e) == bucket
 
 
@@ -73,10 +74,9 @@ def test_canonical_augmentation_matches_set_dedup_reference():
     # cost 6 s); every single edge count and the full level at n = 7
     for n in range(1, 7):
         full = classes_by_set_dedup(n, 0, binom2(n))
-        edges = [sum(r.bit_count() for r in rows) // 2 for rows in full]
         for lo in range(binom2(n) + 1):
             for hi in range(lo, binom2(n) + 1):
-                want = tuple(rows for rows, e in zip(full, edges) if lo <= e <= hi)
+                want = tuple(code for code in full if lo <= code.bit_count() <= hi)
                 assert sorted_classes(n, lo, hi) == want, (n, lo, hi)
     for lo, hi in [(e, e) for e in range(binom2(7) + 1)] + [(0, binom2(7))]:
         assert sorted_classes(7, lo, hi) == classes_by_set_dedup(7, lo, hi), (lo, hi)
@@ -85,8 +85,8 @@ def test_canonical_augmentation_matches_set_dedup_reference():
 def test_level_8_bytes_are_pinned():
     # the classes on 8 vertices and their order, as graph6 lines
     digest = hashlib.sha256()
-    for rows in sorted_classes(8, 0, binom2(8)):
-        digest.update((to_graph6(Graph(8, list(rows))) + "\n").encode())
+    for code in sorted_classes(8, 0, binom2(8)):
+        digest.update((to_graph6(Graph(8, list(rows_of(code, 8)))) + "\n").encode())
     assert digest.hexdigest() == "2415a1e55618d429e08e9b28ac59a8ea8e97f81ad24069d6fa3f383a7ce2a03c"
 
 
@@ -226,6 +226,13 @@ def test_compute_S_n_forced_shapes():
         assert rep1.sigma_estimate == total / (total + 1)
     with pytest.raises(GuardError):
         compute_S_n(10, PairMF(2, 1))
+
+
+def test_empty_S_n_at_one_n_says_nothing_about_later_n():
+    # S_n of (5, 5) is empty at n = 6, 7 and 9, yet not at n = 8: every
+    # graph on 8 vertices with 14 edges induces 5 edges on some 5 vertices
+    got = [compute_S_n(n, PairMF(5, 5)).S for n in range(5, 10)]
+    assert got == [(5,), (), (), (14,), ()]
 
 
 def test_compute_S_n_report_invariant_and_chunking():

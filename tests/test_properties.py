@@ -13,7 +13,7 @@ import random
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from avoidpairs.canon import canonical_rows, orbit
+from avoidpairs.canon import canonical_rows, orbit, rows_of
 from avoidpairs.cli import dump_json, main
 from avoidpairs.criterion import (
     PairMF,
@@ -166,7 +166,7 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(g):
     def image_edges(p):
         return {tuple(sorted((p[a], p[b]))) for a, b in edges}
 
-    form, order, generators = canonical_rows(rows, g.n)
+    code, order, generators = canonical_rows(rows, g.n)
     for p in generators:
         assert image_edges(p) == edges
     group = [p for p in itertools.permutations(range(g.n)) if image_edges(p) == edges]
@@ -186,10 +186,12 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(g):
         masks = orbit(1 << u, generators)
         assert {m.bit_length() - 1 for m in masks} == {p[u] for p in group}
         assert all(m.bit_count() == 1 for m in masks)
-    # order relabels the input into the form: new index i is old vertex order[i]
+    # order relabels the input into the graph of the code: new index i is
+    # old vertex order[i]
     pos = {u: i for i, u in enumerate(order)}
     assert sorted(order) == list(range(g.n))
-    assert Graph.from_edges(g.n, ((pos[u], pos[v]) for u, v in edges)) == Graph(g.n, list(form))
+    relabelled = Graph.from_edges(g.n, ((pos[u], pos[v]) for u, v in edges))
+    assert relabelled == Graph(g.n, list(rows_of(code, g.n)))
 
 
 @given(small_graphs(), st.data())
