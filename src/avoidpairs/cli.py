@@ -6,10 +6,14 @@ bipartite (realize), diag (equidist).
 
 JSON lines are the canonical output (sorted keys, compact separators, so a
 parse/re-emit round trip is byte-identical); --csv, where offered, is a fixed
-projection.  All commands are deterministic.  Exit codes: 0 ok, 2 usage or
-domain error, 3 guard refusal, 4 assertion or cross-check failure,
-5 infeasible witness build, 141 stdout closed early by its reader.  Every
-non-zero exit but 141 ends stderr with one {"error", "kind"} JSON line.
+projection.  All commands are deterministic.  A cmd_* handler only returns
+its stdout lines, after the checks that may refuse it, so a refusal leaves
+stdout empty; one that fails after its record is a generator that raises
+once its lines are out.  main alone writes them (write_lines) and maps
+errors to exit codes (FAILURES): 0 ok, 2 usage or domain error, 3 guard
+refusal, 4 assertion or cross-check failure, 5 infeasible witness build,
+141 stdout closed early by its reader.  Every non-zero exit but 141 ends
+stderr with one {"error", "kind"} JSON line, in one write.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import json
 import os
 import sys
 
-from .errors import DomainError, GuardError, ScanAssertionError
-from .graphs import from_graph6, girth, induced_subgraph, to_graph6
+from .errors import DomainError, GuardError, InfeasibleError, ScanAssertionError
 
 
 def _lazy(name: str):
@@ -47,6 +50,7 @@ bipartite = _lazy("bipartite")
 criterion = _lazy("criterion")
 equidist = _lazy("equidist")
 exactarith = _lazy("exactarith")
+graphs = _lazy("graphs")
 oracle = _lazy("oracle")
 pell = _lazy("pell")
 witness = _lazy("witness")
@@ -73,10 +77,6 @@ def json_line(obj) -> str:
     return dump_json(obj) + "\n"
 
 
-def emit(obj, out=None) -> None:
-    (out or sys.stdout).write(json_line(obj))
-
-
 # Lines per stdout write in write_lines.  Under python -u or PYTHONUNBUFFERED
 # sys.stdout passes every write straight to the system, so a write per line
 # is a system call per line.  Over 50,001 scan-t4 rows, 256-line blocks cost
@@ -85,10 +85,11 @@ BLOCK_LINES = 256
 
 
 def write_lines(lines) -> None:
-    """Write an iterable of lines to stdout, BLOCK_LINES lines per write.
-    If `lines` raises (a failed --assert, after its last row), the lines it
-    made before still go out, then the exception propagates: list.extend
-    keeps the items it took before its iterator raised."""
+    """Write an iterable of lines to stdout, BLOCK_LINES lines per write;
+    the one stdout writer.  If `lines` raises (a failed --assert, after its
+    last row), the lines it made before still go out, then the exception
+    propagates: list.extend keeps the items it took before its iterator
+    raised."""
     lines = iter(lines)
     block = []
     while True:
@@ -173,13 +174,12 @@ def _parse_vertices(text: str, n: int) -> frozenset[int]:
 # pell
 
 
-def cmd_pell(args) -> int:
+def cmd_pell(args):
     states = pell.pell_states() if args.raw else pell.m_states()
-    write_lines(
+    return (
         json_line({**state._asdict(), "m": state.m, "checks": pell.verify_pell_state(state)})
         for state in itertools.islice(states, args.count)
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -195,76 +195,73 @@ def _criterion_row(m: int, q: int, dy: int, dz: int, L: int, R: int) -> dict:
             "verdict": "L>R" if L > R else "L<=R"}
 
 
-def _write_csv(header, rows) -> None:
-    """header and rows as CSV lines, through write_lines.  A plain join
-    suffices: every field is an int, a bool, "", "L>R", "L<=R" or a graph6
-    string (bytes 63-126), none of which holds a comma, a quote or a line
-    break, so no field needs quoting."""
-    write_lines(",".join(map(str, row)) + "\n" for row in itertools.chain((header,), rows))
+def _csv_lines(header, rows):
+    """header and rows as CSV lines.  A plain join suffices: every field is
+    an int, a bool, "", "L>R", "L<=R" or a graph6 string (bytes 63-126),
+    none of which holds a comma, a quote or a line break, so no field needs
+    quoting."""
+    return (",".join(map(str, row)) + "\n" for row in itertools.chain((header,), rows))
 
 
-def _write_criterion_csv(mq_pairs) -> None:
+def _criterion_csv_lines(mq_pairs):
     def row(m: int, q: int):
         dy, dz = criterion.radicands(m, q)
         return _criterion_row(m, q, dy, dz, *criterion.lr_floors(dy, dz)).values()
 
-    _write_csv(CRITERION_CSV_HEADER, itertools.starmap(row, mq_pairs))
+    return _csv_lines(CRITERION_CSV_HEADER, itertools.starmap(row, mq_pairs))
 
 
-def cmd_criterion_eval(args) -> int:
+def cmd_criterion_eval(args):
     ev = criterion.eval_criterion(args.m, args.q, args.fracbits)
     row = _criterion_row(ev.m, ev.q, ev.Dy, ev.Dz, ev.L, ev.R)
     if args.csv:
-        _write_csv(CRITERION_CSV_HEADER, [row.values()])
-        return EXIT_OK
-    emit({**row, "frac_y": _frac_record(ev.frac_y), "d_approx": _frac_record(ev.d_approx)})
-    return EXIT_OK
+        return _csv_lines(CRITERION_CSV_HEADER, [row.values()])
+    return [json_line({**row, "frac_y": _frac_record(ev.frac_y),
+                       "d_approx": _frac_record(ev.d_approx)})]
 
 
-def cmd_criterion_cert(args) -> int:
+def cmd_criterion_cert(args):
     pair = criterion.PairMF(args.m, args.f)
     outcome = criterion.avoidability_certificate(pair)
-    emit({"m": pair.m, **criterion.cert_record(pair.f, outcome)})
-    return EXIT_OK
+    return [json_line({"m": pair.m, **criterion.cert_record(pair.f, outcome)})]
 
 
-def cmd_criterion_scan_t4(args) -> int:
-    # Rows stream as they are made; a failed --assert raises only after the
-    # last one, and main writes the failures and the error line to stderr.
+def _scan_t4_head(rows):
+    # rows without offset floors all come first; up to the first row with
+    # them, None floors are written as null
+    for row in rows:
+        yield _SCAN_T4_LINE(tuple("null" if v is None else v for v in row))
+        if row[1] is not None:
+            return
+
+
+def cmd_criterion_scan_t4(args):
+    # a failed --assert raises from the scanner only after its last row
     rows = criterion.scan_offset_disjunction(args.from_m, args.to_m, assert_all=args.assert_all)
     if args.csv:
-        _write_criterion_csv(
+        return _criterion_csv_lines(
             (row[6], k * row[6])
             for row in rows
             for k in ((0, 6, -6) if row[1] is not None else (0,))
         )
-        return EXIT_OK
-    # rows without offset floors all come first; from the first row with
-    # them on, the fixed format writes every row
-    for row in rows:
-        if row[1] is not None:
-            write_lines(map(_SCAN_T4_LINE, itertools.chain((row,), rows)))
-            break
-        sys.stdout.write(_SCAN_T4_LINE(tuple("null" if v is None else v for v in row)))
-    return EXIT_OK
+    # from the row after the head on, the fixed format writes every row
+    return itertools.chain(_scan_t4_head(rows), map(_SCAN_T4_LINE, rows))
 
 
-def cmd_criterion_scan_t2(args) -> int:
+def cmd_criterion_scan_t2(args):
     q_of_m = criterion.AffineQ(_parse_fraction(args.alpha), _parse_fraction(args.beta))
     records = criterion.scan_affine_q(q_of_m, args.from_m, args.to_m)
     if args.csv:
-        _write_criterion_csv(
+        return _criterion_csv_lines(
             (rec["m"], sign * rec["q"])
             for rec in records
             if rec["status"] in ("hit", "miss")
             for sign in (1, -1)
         )
-        return EXIT_OK
-    write_lines(map(json_line, records))
-    return EXIT_OK
+    return map(json_line, records)
 
 
-def cmd_criterion_scan_interval(args) -> int:
+def cmd_criterion_scan_interval(args):
     f_lo, f_hi, all_pass, rows = criterion.scan_interval(args.m)
     # "results" is the last key, so the record with no results ends in "]}"
     head = dump_json({"all_pass": all_pass, "empty": f_lo is None, "f_hi": f_hi,
@@ -272,13 +269,11 @@ def cmd_criterion_scan_interval(args) -> int:
     lines = (_INTERVAL_ROW[certified](fields) for certified, fields in rows)
     # every row starts with its comma but the first; an empty interval has none
     first = next(lines, ",")[1:]
-    write_lines(itertools.chain((head, first), lines, ("]}\n",)))
-    return EXIT_OK
+    return itertools.chain((head, first), lines, ("]}\n",))
 
 
-def cmd_criterion_scan_mod23(args) -> int:
-    write_lines(map(json_line, criterion.scan_mod23(args.from_m, args.to_m)))
-    return EXIT_OK
+def cmd_criterion_scan_mod23(args):
+    return map(json_line, criterion.scan_mod23(args.from_m, args.to_m))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +281,7 @@ def cmd_criterion_scan_mod23(args) -> int:
 
 
 def _witness_record(w: witness.WitnessGraph) -> dict:
-    part_girth = girth(induced_subgraph(w.structure_graph(), w.girth_part))
+    part_girth = graphs.girth(graphs.induced_subgraph(w.structure_graph(), w.girth_part))
     adjacency = [
         [u for u in range(w.graph.n) if w.graph.rows[v] >> u & 1]
         for v in range(w.graph.n)
@@ -299,17 +294,16 @@ def _witness_record(w: witness.WitnessGraph) -> dict:
         "clique_vertices": sorted(w.clique_vertices),
         "girth_part_size": len(w.girth_part),
         "girth_part_girth": None if part_girth == float("inf") else part_girth,
-        "graph6": to_graph6(w.graph),
+        "graph6": graphs.to_graph6(w.graph),
         "adjacency": adjacency,
     }
 
 
-def cmd_witness_build(args) -> int:
+def cmd_witness_build(args):
     built = witness.build_witness_or_complement(args.n, args.e, args.p)
     if isinstance(built, witness.Infeasible):
-        emit({"infeasible": True, **built._asdict()})
-        emit({"error": built.reason, "kind": "infeasible"}, out=sys.stderr)
-        return EXIT_INFEASIBLE
+        yield json_line({"infeasible": True, **built._asdict()})
+        raise InfeasibleError(built.reason)
     record = _witness_record(built)
     if args.pair is not None:
         pair = _parse_pair(args.pair)
@@ -322,17 +316,16 @@ def cmd_witness_build(args) -> int:
                 fh.write(record["graph6"] + "\n")
         except OSError as exc:
             raise DomainError(f"cannot write graph6 file: {exc}") from None
-    emit(record)
-    return EXIT_OK
+    yield json_line(record)
 
 
-def cmd_witness_verify(args) -> int:
+def cmd_witness_verify(args):
     try:
         with open(args.graph6) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read graph6 file: {exc}") from None
-    g = from_graph6(text)
+    g = graphs.from_graph6(text)
     pair = _parse_pair(args.pair)
     clique = _parse_vertices(args.clique_vertices, g.n)
     rest = frozenset(range(g.n)) - clique
@@ -344,52 +337,42 @@ def cmd_witness_verify(args) -> int:
         complemented=args.complemented,
     )
     verdict = witness.verify_witness(w, pair)
-    emit(
-        {
-            "pair": pair._asdict(),
-            "passed": verdict.passed,
-            "failures": list(verdict.failures),
-        }
-    )
-    return EXIT_OK
+    return [json_line({"pair": pair._asdict(), "passed": verdict.passed,
+                       "failures": list(verdict.failures)})]
 
 
 # ---------------------------------------------------------------------------
 # oracle
 
 
-def cmd_oracle_arrows(args) -> int:
+def cmd_oracle_arrows(args):
     pair = criterion.PairMF(args.m, args.f)
     verdict = oracle.arrows_pair(args.n, args.e, pair)
     g = verdict.counterexample
-    emit({"n": verdict.n, "e": verdict.e, "pair": pair._asdict(),
-          "arrows": verdict.arrows, "counterexample": to_graph6(g) if g else None})
-    return EXIT_OK
+    return [json_line({"n": verdict.n, "e": verdict.e, "pair": pair._asdict(),
+                       "arrows": verdict.arrows,
+                       "counterexample": graphs.to_graph6(g) if g else None})]
 
 
-def cmd_oracle_sn(args) -> int:
+def cmd_oracle_sn(args):
     pair = criterion.PairMF(args.m, args.f)
     report = oracle.compute_S_n(args.n, pair)
     if args.csv:
         in_s = set(report.S)
-        _write_csv(["e", "arrows", "counterexample"], (
+        return _csv_lines(["e", "arrows", "counterexample"], (
             [e, e in in_s, "" if e in in_s else report.counterexamples[e]]
             for e in range(exactarith.binom2(args.n) + 1)
         ))
-        return EXIT_OK
-    emit(
-        {
-            "n": report.n,
-            "pair": pair._asdict(),
-            "S": list(report.S),
-            "counterexamples": {str(e): g6 for e, g6 in sorted(report.counterexamples.items())},
-            "fixed_n_fraction": report.sigma_estimate,
-        }
-    )
-    return EXIT_OK
+    return [json_line({
+        "n": report.n,
+        "pair": pair._asdict(),
+        "S": list(report.S),
+        "counterexamples": {str(e): g6 for e, g6 in sorted(report.counterexamples.items())},
+        "fixed_n_fraction": report.sigma_estimate,
+    })]
 
 
-def cmd_oracle_xcheck_cf(args) -> int:
+def cmd_oracle_xcheck_cf(args):
     mismatches = []
     checked = 0
     for m in range(1, args.max_m + 1):
@@ -400,17 +383,16 @@ def cmd_oracle_xcheck_cf(args) -> int:
             checked += 1
             if search != brute:
                 mismatches.append({"m": m, "f": f, "search": search, "oracle": brute})
-    emit({"max_m": args.max_m, "pairs_checked": checked, "mismatches": mismatches})
+    yield json_line({"max_m": args.max_m, "pairs_checked": checked, "mismatches": mismatches})
     if mismatches:
         raise ScanAssertionError(f"{len(mismatches)} clique+forest mismatches", mismatches)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # bipartite
 
 
-def cmd_bipartite_realize(args) -> int:
+def cmd_bipartite_realize(args):
     pair = bipartite.BipartitePair(args.m, args.f)
     complemented = False
     target = pair
@@ -420,29 +402,25 @@ def cmd_bipartite_realize(args) -> int:
     decomp = bipartite.bipartite_realize(target)
     verdict = bipartite.verify_bipartite_decomp(decomp, target)
     if args.json:
-        emit(
-            {
-                **pair._asdict(),
-                "complemented": complemented,
-                "biclique": [decomp.x, decomp.y],
-                "forest_edges": [list(edge) for edge in decomp.forest_edges],
-                "case": decomp.case,
-                "verified": verdict.passed,
-            }
-        )
-    else:
-        side = " of the complement" if complemented else ""
-        edges = ", ".join(f"(L{li},R{rj})" for li, rj in decomp.forest_edges) or "none"
-        print(f"case {decomp.case}{side}: biclique {decomp.x}x{decomp.y}; forest edges: {edges}")
-        print(f"verified: {'PASS' if verdict.passed else 'FAIL ' + ','.join(verdict.failures)}")
-    return EXIT_OK
+        return [json_line({
+            **pair._asdict(),
+            "complemented": complemented,
+            "biclique": [decomp.x, decomp.y],
+            "forest_edges": [list(edge) for edge in decomp.forest_edges],
+            "case": decomp.case,
+            "verified": verdict.passed,
+        })]
+    side = " of the complement" if complemented else ""
+    edges = ", ".join(f"(L{li},R{rj})" for li, rj in decomp.forest_edges) or "none"
+    return [f"case {decomp.case}{side}: biclique {decomp.x}x{decomp.y}; forest edges: {edges}\n",
+            f"verified: {'PASS' if verdict.passed else 'FAIL ' + ','.join(verdict.failures)}\n"]
 
 
 # ---------------------------------------------------------------------------
 # diag
 
 
-def cmd_diag_equidist(args) -> int:
+def cmd_diag_equidist(args):
     report = equidist.diag_equidist(
         args.q,
         args.n,
@@ -450,8 +428,7 @@ def cmd_diag_equidist(args) -> int:
         fracbits=args.fracbits,
         restrict_to_M=args.on_m,
     )
-    emit(report._asdict())
-    return EXIT_OK
+    return [json_line(report._asdict())]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +440,7 @@ class _Parser(argparse.ArgumentParser):
     are made by the same class, so they inherit it."""
 
     def error(self, message: str):
-        emit({"error": f"{self.prog}: {message}", "kind": "usage"}, out=sys.stderr)
+        sys.stderr.write(json_line({"error": f"{self.prog}: {message}", "kind": "usage"}))
         raise SystemExit(EXIT_USAGE)
 
 
@@ -551,6 +528,16 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return top
 
 
+# each error a handler or its lines may raise -> (exit code, "kind" of its
+# JSON error line); a ScanAssertionError's failure records go before that line
+FAILURES = {
+    DomainError: (EXIT_USAGE, "domain"),
+    GuardError: (EXIT_GUARD, "guard"),
+    ScanAssertionError: (EXIT_ASSERTION, "assertion"),
+    InfeasibleError: (EXIT_INFEASIBLE, "infeasible"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -560,18 +547,13 @@ def main(argv: list[str] | None = None) -> int:
             args.fracbits = exactarith.DEFAULT_FRACBITS
         elif not 32 <= args.fracbits <= 1024:
             raise DomainError(f"fracbits must be in [32, 1024], got {args.fracbits}")
-        return args.handler(args)
-    except DomainError as exc:
-        emit({"error": str(exc), "kind": "domain"}, out=sys.stderr)
-        return EXIT_USAGE
-    except GuardError as exc:
-        emit({"error": str(exc), "kind": "guard"}, out=sys.stderr)
-        return EXIT_GUARD
-    except ScanAssertionError as exc:
-        for rec in exc.failures:
-            emit(rec, out=sys.stderr)
-        emit({"error": str(exc), "kind": "assertion"}, out=sys.stderr)
-        return EXIT_ASSERTION
+        write_lines(args.handler(args))
+        return EXIT_OK
+    except tuple(FAILURES) as exc:
+        code, kind = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
+        records = [*getattr(exc, "failures", ()), {"error": str(exc), "kind": kind}]
+        sys.stderr.write("".join(map(json_line, records)))
+        return code
     except BrokenPipeError:
         # The reader closed stdout (`... | head`).  Point fd 1 at the null
         # device so the flush at interpreter exit does not fail again.

@@ -12,12 +12,13 @@ endpoint), which never influence a verdict.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, Union
+from collections.abc import Callable, Iterator
 
 from .errors import DomainError, GuardError, ScanAssertionError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, binom2, frac_sqrt_half, surd_floor
 from .records import Record
 
+TYPE_CHECKING = False  # True to type checkers only; executing typing costs start-up
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -55,7 +56,7 @@ class Impossible(Record):
     R: int
 
 
-CliqueForestCert = Union[Realizable, Impossible]
+CliqueForestCert = Realizable | Impossible
 
 
 class AvoidabilityCert(Record):
@@ -217,9 +218,6 @@ class AffineQ(Record):
         return math.floor(self.alpha * m + self.beta)
 
 
-QSpec = Callable[[int], int]
-
-
 # ---------------------------------------------------------------------------
 # Scanners.  Each is a generator in m order, so a caller can write each record
 # as soon as it is made: scan_offset_disjunction yields plain tuples, the
@@ -282,7 +280,7 @@ def scan_offset_disjunction(m_lo: int, m_hi: int, assert_all: bool = False) -> I
         )
 
 
-def scan_affine_q(q_of_m: QSpec, m_lo: int, m_hi: int) -> Iterator[dict]:
+def scan_affine_q(q_of_m: Callable[[int], int], m_lo: int, m_hi: int) -> Iterator[dict]:
     """Scan m in range for pairs (m, m(m-1)/4 - q(m)) whose both-sign floor
     inequalities hold; every "hit" admits an avoidability certificate.
 

@@ -10,8 +10,8 @@ sup-norm discrepancy but O(N) to evaluate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from itertools import accumulate, islice
-from typing import Iterable
 
 from .criterion import radicand_dy
 from .errors import DomainError, GuardError

@@ -9,6 +9,10 @@ class GuardError(RuntimeError):
     """A computation was refused because it exceeds a size guard."""
 
 
+class InfeasibleError(RuntimeError):
+    """A witness build found no graph of the requested order and size."""
+
+
 class ScanAssertionError(AssertionError):
     """A scan run in assertion mode found a violating instance."""
 

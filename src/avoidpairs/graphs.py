@@ -8,7 +8,7 @@ the small oracle graphs (n <= 16) and larger witness graphs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import DomainError
 

@@ -6,8 +6,8 @@ clique-plus-forest realization oracle independent of the floor criterion.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Iterator
 
 from .canon import canonical_rows, orbit, root_partition, rows_of
 from .criterion import PairMF

@@ -5,7 +5,7 @@ members admit exact avoidability certificates at the half edge count.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import DomainError
 from .records import Record

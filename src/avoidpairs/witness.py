@@ -98,7 +98,13 @@ def build_witness(n: int, e: int, p: int) -> WitnessGraph | Infeasible:
     remaining edges into the other n - k vertices greedily in lexicographic
     order, accepting an edge only when its endpoints are at distance >= p
     (so every new cycle has length > p).  Returns an Infeasible diagnostic
-    when the candidates run out rather than ever degrading the girth."""
+    when the candidates run out rather than ever degrading the girth.
+
+    The girth part starts edgeless, so for every p >= 3 the result is K_k
+    plus a star at vertex k with leaves k+1, ..., k+extra, where extra =
+    e - binom2(k), when extra <= n - k - 1 (or extra = 0); otherwise it is
+    Infeasible with placed = n - k - 1, since after the star any two
+    girth-part vertices are at distance <= 2."""
     _edge_total(n, e)
     if p < 3:
         raise DomainError(f"girth bound must be >= 3, got {p}")

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import math
@@ -13,7 +14,9 @@ import tracemalloc
 import pytest
 
 import avoidpairs
+from avoidpairs import cli
 from avoidpairs.cli import (
+    BLOCK_LINES,
     EXIT_ASSERTION,
     EXIT_BROKEN_PIPE,
     EXIT_GUARD,
@@ -25,7 +28,7 @@ from avoidpairs.cli import (
     main,
 )
 from helpers import offset_disjunction_records, scan_interval_record
-from test_golden_stdout import GOLDEN
+from test_golden_stdout import GOLDEN, GOLDEN_STDERR, WITNESS_G6
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +199,52 @@ def test_csv_writes_stdout_in_blocks(monkeypatch):
     assert stdout.writes <= math.ceil(lines / 256) + 2
     assert stdout.lines == lines
     assert stdout.sha256.hexdigest() == GOLDEN_DIGEST[tuple(argv)]
+
+
+# scan-interval writes one line in many writes; its own bound is in
+# test_scan_interval_streams_in_flat_memory
+BLOCK_CASES = [(argv, code) for argv, code, _ in GOLDEN + GOLDEN_STDERR
+               if "scan-interval" not in argv]
+
+
+@pytest.mark.parametrize("argv,code", BLOCK_CASES, ids=[" ".join(argv) for argv, _ in BLOCK_CASES])
+def test_every_golden_command_writes_in_blocks(monkeypatch, tmp_path, argv, code):
+    g6_path = tmp_path / "w.g6"
+    g6_path.write_text(WITNESS_G6 + "\n")
+    argv = [str(g6_path) if arg == "{g6}" else arg for arg in argv]
+    stdout, stderr = CountingStdout(), CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    try:
+        assert main(argv) == code
+    finally:
+        monkeypatch.undo()
+    assert stdout.writes == math.ceil(stdout.lines / BLOCK_LINES)
+    assert stderr.writes == (code != EXIT_OK)
+
+
+def stream_writers(source: str) -> dict[str, set[str]]:
+    """For print, sys.stdout.write and sys.stderr.write, the names of the
+    functions that call them ("<module>" outside any function)."""
+    found = {"print": set(), "sys.stdout.write": set(), "sys.stderr.write": set()}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and ast.unparse(child) in found:
+                found[ast.unparse(child)].add(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_write_lines_writes_stdout_and_only_main_maps_errors():
+    assert stream_writers(pathlib.Path(cli.__file__).read_text()) == {
+        "print": set(), "sys.stdout.write": {"write_lines"}, "sys.stderr.write": {"error", "main"}}
+    # the check sees each kind of write
+    assert stream_writers("def f():\n    print(1)\n    def g():\n        sys.stderr.write('')\n"
+                          "sys.stdout.write('')\n") == {
+        "print": {"f"}, "sys.stdout.write": {"<module>"}, "sys.stderr.write": {"g"}}
 
 
 def test_scan_interval_streams_in_flat_memory(monkeypatch):

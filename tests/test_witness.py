@@ -69,6 +69,27 @@ def test_honest_infeasibility():
     assert isinstance(build_witness(5, 5, 5), Infeasible)
 
 
+def test_greedy_builds_the_clique_plus_one_star():
+    # The girth part starts edgeless, so vertex k is far from every later
+    # vertex and takes the extra edges as a star; after it, any two of its
+    # vertices are at distance <= 2 < p, so nothing more fits.  A builder
+    # that seeds the girth part must keep these graphs.
+    for n in range(21):
+        for e in range(binom2(n) + 1):
+            k = max(k for k in range(n + 1) if binom2(k) <= e) if e else 0
+            extra = e - binom2(k)
+            edges = [(u, v) for v in range(k) for u in range(v)]
+            star = [(k, v) for v in range(k + 1, k + 1 + extra)]
+            for p in range(3, 9):
+                built = build_witness(n, e, p)
+                if extra <= max(n - k - 1, 0):  # k = n leaves no star, and no extra
+                    assert built.graph == Graph.from_edges(n, edges + star), (n, e, p)
+                    assert built.clique_vertices == frozenset(range(k))
+                else:
+                    assert isinstance(built, Infeasible), (n, e, p)
+                    assert (built.k, built.placed) == (k, n - k - 1), (n, e, p)
+
+
 def test_builder_soundness_and_determinism():
     for n in range(3, 13):
         for e in range(binom2(n) + 1):
