@@ -152,11 +152,10 @@ def _parse_fraction(text: str) -> fractions.Fraction:
 def _parse_pair(text: str) -> criterion.PairMF:
     try:
         m_str, f_str = text.split(",")
-        return criterion.PairMF(int(m_str), int(f_str))
-    except ValueError as exc:
-        if isinstance(exc, DomainError):
-            raise
+        m, f = int(m_str), int(f_str)
+    except ValueError:
         raise DomainError(f"expected a pair like 40,390, got {text!r}") from None
+    return criterion.PairMF(m, f)
 
 
 def _parse_vertices(text: str, n: int) -> frozenset[int]:
@@ -300,13 +299,13 @@ def _witness_record(w: witness.WitnessGraph) -> dict:
 
 
 def cmd_witness_build(args):
+    pair = None if args.pair is None else _parse_pair(args.pair)
     built = witness.build_witness_or_complement(args.n, args.e, args.p)
     if isinstance(built, witness.Infeasible):
         yield json_line({"infeasible": True, **built._asdict()})
         raise InfeasibleError(built.reason)
     record = _witness_record(built)
-    if args.pair is not None:
-        pair = _parse_pair(args.pair)
+    if pair is not None:
         verdict = witness.verify_witness(built, pair)
         record["pair"] = pair._asdict()
         record["verify"] = {"passed": verdict.passed, "failures": list(verdict.failures)}

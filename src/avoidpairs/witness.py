@@ -11,11 +11,13 @@ At small scale, oracle.arrows checks the same claim by subset search.
 from __future__ import annotations
 
 
-from .criterion import CliqueForestCert, Impossible, PairMF, clique_forest_realizable
-from .errors import DomainError
+from .criterion import Impossible, PairMF, clique_forest_realizable
+from .errors import DomainError, GuardError
 from .exactarith import binom2, surd_floor
 from .graphs import Graph, girth, induced_subgraph
 from .records import Record
+
+BUILD_GUARD = 2000  # n; the graph, its graph6 and its CLI record grow as binom2(n)
 
 
 class WitnessGraph(Record):
@@ -36,7 +38,7 @@ class WitnessGraph(Record):
 
 
 class Infeasible(Record):
-    """Greedy insertion ran out of candidate edges; diagnostic counts."""
+    """The extra edges do not fit as a star on the girth part; diagnostic counts."""
 
     n: int
     e: int
@@ -50,86 +52,46 @@ class Infeasible(Record):
 class WitnessVerdict(Record):
     passed: bool
     failures: tuple[str, ...]
-    realizability: CliqueForestCert | None
 
 
 def _edge_total(n: int, e: int) -> int:
-    """binom2(n), after refusing n < 0 and e outside [0, binom2(n)]."""
+    """binom2(n), after refusing n outside [0, BUILD_GUARD] and e outside [0, binom2(n)]."""
     if n < 0:
         raise DomainError(f"vertex count must be >= 0, got {n}")
+    if n > BUILD_GUARD:
+        raise GuardError(f"witness build guard: n={n} exceeds {BUILD_GUARD}")
     total = binom2(n)
     if not 0 <= e <= total:
         raise DomainError(f"edge count must satisfy 0 <= e <= {total}, got {e}")
     return total
 
 
-def _clique_size_for(e: int) -> int:
-    # the R floor: unique k with binom2(k) <= e < binom2(k+1); e = 0 keeps K_0
-    if e == 0:
-        return 0
-    return surd_floor(1, 8 * e + 1)
-
-
-def _dist_at_least(g: Graph, src: int, dst: int, limit: int) -> bool:
-    """True iff the graph distance from src to dst is >= limit (BFS, depth-capped)."""
-    if src == dst:
-        return limit <= 0
-    seen = 1 << src
-    frontier = [src]
-    for depth in range(1, limit):
-        nxt = []
-        for u in frontier:
-            r = g.rows[u] & ~seen
-            if r >> dst & 1:
-                return False  # dist == depth < limit
-            seen |= r
-            while r:
-                b = r & -r
-                nxt.append(b.bit_length() - 1)
-                r ^= b
-        if not nxt:
-            return True
-        frontier = nxt
-    return True
-
-
 def build_witness(n: int, e: int, p: int) -> WitnessGraph | Infeasible:
-    """Place a clique K_k with binom2(k) <= e < binom2(k+1), then insert the
-    remaining edges into the other n - k vertices greedily in lexicographic
-    order, accepting an edge only when its endpoints are at distance >= p
-    (so every new cycle has length > p).  Returns an Infeasible diagnostic
-    when the candidates run out rather than ever degrading the girth.
+    """K_k on vertices 0..k-1, with k the R floor (binom2(k) <= e <
+    binom2(k+1); k = 0 for e = 0), plus a star at vertex k with leaves
+    k+1, ..., k+extra, where extra = e - binom2(k).  The girth part is a
+    forest, so its girth is above every bound p >= 3.
 
-    The girth part starts edgeless, so for every p >= 3 the result is K_k
-    plus a star at vertex k with leaves k+1, ..., k+extra, where extra =
-    e - binom2(k), when extra <= n - k - 1 (or extra = 0); otherwise it is
-    Infeasible with placed = n - k - 1, since after the star any two
-    girth-part vertices are at distance <= 2."""
+    When extra > max(n - k - 1, 0) the result is Infeasible with
+    placed = n - k - 1: a star that spans the girth part leaves every two
+    of its vertices at distance <= 2, so no further edge avoids a triangle."""
     _edge_total(n, e)
     if p < 3:
         raise DomainError(f"girth bound must be >= 3, got {p}")
-    k = _clique_size_for(e)
-    g = Graph(n)
-    for u in range(k):
-        for v in range(u + 1, k):
-            g.add_edge(u, v)
+    k = surd_floor(1, 8 * e + 1) if e else 0
     extra = e - binom2(k)
-    placed = 0
-    for u in range(k, n):
-        if placed == extra:
-            break
-        for v in range(u + 1, n):
-            if placed == extra:
-                break
-            if _dist_at_least(g, u, v, p):
-                g.add_edge(u, v)
-                placed += 1
-    if placed < extra:
+    placed = max(n - k - 1, 0)
+    if extra > placed:
+        # the wording predates this construction; the golden witness hashes pin it
         return Infeasible(
             n=n, e=e, p=p, k=k, placed=placed, missing=extra - placed,
             reason=f"greedy insertion placed {placed} of {extra} extra edges on "
                    f"{n - k} vertices without closing a cycle of length <= {p}",
         )
+    clique = (1 << k) - 1
+    g = Graph(n, [clique ^ (1 << v) if v < k else 0 for v in range(n)])
+    for v in range(k + 1, k + 1 + extra):
+        g.add_edge(k, v)
     return WitnessGraph(
         graph=g,
         clique_vertices=frozenset(range(k)),
@@ -183,8 +145,7 @@ def verify_witness(w: WitnessGraph, pair: PairMF) -> WitnessVerdict:
     if not girth(induced_subgraph(s, rest)) > max(w.girth_bound, pair.m):
         failures.append("girth")
     target = pair.complement() if w.complemented else pair
-    cert = clique_forest_realizable(target)
-    if not isinstance(cert, Impossible):
+    if not isinstance(clique_forest_realizable(target), Impossible):
         failures.append("realizable")
-    return WitnessVerdict(passed=not failures, failures=tuple(failures), realizability=cert)
+    return WitnessVerdict(passed=not failures, failures=tuple(failures))
 

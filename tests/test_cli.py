@@ -398,9 +398,21 @@ def test_witness_graph6_round_trip_above_62_vertices(capsys, tmp_path):
     assert code == EXIT_OK and json_lines(out)[0]["passed"] is True
 
 
+# each malformed --pair of the fuzz pool -> its error message; a witness
+# build refuses it before building (this one would otherwise exit 5)
+PAIR_ERRORS = {
+    "-1,3": "pair order must be >= 1, got m=-1",
+    "1/2": "expected a pair like 40,390, got '1/2'",
+    "3,": "expected a pair like 40,390, got '3,'",
+    "": "expected a pair like 40,390, got ''",
+    "x,y": "expected a pair like 40,390, got 'x,y'",
+}
+
+
 @pytest.mark.parametrize(
     "case",
-    ["missing-graph6", "non-integer-vertex", "vertex-out-of-range", "unwritable-graph6"],
+    ["missing-graph6", "non-integer-vertex", "vertex-out-of-range", "unwritable-graph6",
+     *(f"--pair={value}" for value in PAIR_ERRORS)],
 )
 def test_witness_bad_input_exits_2_with_json_error(capsys, tmp_path, case):
     g6_path = tmp_path / "k3.g6"
@@ -413,10 +425,12 @@ def test_witness_bad_input_exits_2_with_json_error(capsys, tmp_path, case):
         "vertex-out-of-range": verify + ["--clique-vertices", "9"],
         "unwritable-graph6": ["witness", "build", "--n", "10", "--e", "5", "--p", "5",
                               "--graph6", str(tmp_path / "no-such-dir" / "w.g6")],
-    }[case]
+    }.get(case, ["witness", "build", "--n", "5", "--e", "5", "--p", "5", case])
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert json.loads(err)["kind"] == "domain"
+    if case.startswith("--pair="):
+        assert err == '{"error":"%s","kind":"domain"}\n' % PAIR_ERRORS[case[7:]]
 
 
 def test_witness_verify_rejects_nonzero_graph6_padding(capsys, tmp_path):
@@ -431,7 +445,7 @@ def test_witness_verify_rejects_nonzero_graph6_padding(capsys, tmp_path):
 
 
 def test_witness_infeasible_exit_code(capsys):
-    # e = binom2(5)/2 keeps the direct orientation, whose greedy run starves
+    # e = binom2(5)/2 keeps the direct orientation, whose star cannot hold the extra edges
     code, out, err = run_cli(capsys, "witness", "build", "--n", "5", "--e", "5", "--p", "5")
     assert code == EXIT_INFEASIBLE
     assert json_lines(out)[0]["infeasible"] is True

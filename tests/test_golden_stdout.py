@@ -13,8 +13,9 @@ pair.  The stderr of a failing scan-t4 --assert run, whose failure records
 are rebuilt from the scanner's rows, was recorded before the scanner yielded
 rows in place of dicts.  The last five scan-interval hashes, among them the
 empty interval (m = 2) and an all_pass one (m = 19022), and its two refusals
-were recorded before scan-interval streamed its one JSON line.  A refactor
-that changes a byte of output fails here.
+were recorded before scan-interval streamed its one JSON line.  The witness
+build refusal (exit 3) names a build the size guard refuses before any work.
+A refactor that changes a byte of output fails here.
 
 Regenerate a hash only for a deliberate output change, by running the argv
 through ``avoidpairs.cli.main`` and taking the sha256 of stdout.
@@ -130,12 +131,14 @@ GOLDEN_STDERR = [
 ]
 
 
-# refusals: exit code 2, no stdout byte, one JSON error line on stderr
+# refusals: their exit code, no stdout byte, one JSON error line on stderr
 GOLDEN_REFUSALS = [
-    (['criterion', 'scan-interval', '--m', '0'],
+    (['criterion', 'scan-interval', '--m', '0'], 2,
      '{"error":"scan_interval needs m >= 1, got 0","kind":"domain"}\n'),
-    (['criterion', 'scan-interval', '--m', '-5'],
+    (['criterion', 'scan-interval', '--m', '-5'], 2,
      '{"error":"scan_interval needs m >= 1, got -5","kind":"domain"}\n'),
+    (['witness', 'build', '--n', '4000', '--e', '4000000', '--p', '5'], 3,
+     '{"error":"witness build guard: n=4000 exceeds 2000","kind":"guard"}\n'),
 ]
 
 
@@ -161,8 +164,8 @@ def test_stderr_matches_golden_hash(capsys, argv, code, digest):
 
 
 @pytest.mark.parametrize(
-    "argv,err", GOLDEN_REFUSALS, ids=[" ".join(argv) for argv, _ in GOLDEN_REFUSALS]
+    "argv,code,err", GOLDEN_REFUSALS, ids=[" ".join(argv) for argv, _, _ in GOLDEN_REFUSALS]
 )
-def test_refusal_matches_golden(capsys, argv, err):
-    assert main(argv) == 2
+def test_refusal_matches_golden(capsys, argv, code, err):
+    assert main(argv) == code
     assert capsys.readouterr() == ("", err)

@@ -11,6 +11,7 @@ from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph, girth
 from avoidpairs.oracle import arrows
 from avoidpairs.witness import (
+    BUILD_GUARD,
     Infeasible,
     WitnessGraph,
     build_witness,
@@ -46,6 +47,10 @@ def test_build_validation():
     for build in (build_witness, build_witness_or_complement):
         with pytest.raises(DomainError, match="vertex count must be >= 0"):
             build(-1, 0, 3)
+        # the size guard admits its own n and refuses the next before any work
+        assert isinstance(build(BUILD_GUARD, 0, 3), WitnessGraph)
+        with pytest.raises(GuardError, match=f"n={BUILD_GUARD + 1} exceeds {BUILD_GUARD}"):
+            build(BUILD_GUARD + 1, 0, 3)
 
 
 def test_or_complement_rule():
@@ -70,24 +75,38 @@ def test_honest_infeasibility():
 
 
 def test_greedy_builds_the_clique_plus_one_star():
-    # The girth part starts edgeless, so vertex k is far from every later
-    # vertex and takes the extra edges as a star; after it, any two of its
-    # vertices are at distance <= 2 < p, so nothing more fits.  A builder
-    # that seeds the girth part must keep these graphs.
-    for n in range(21):
-        for e in range(binom2(n) + 1):
-            k = max(k for k in range(n + 1) if binom2(k) <= e) if e else 0
-            extra = e - binom2(k)
-            edges = [(u, v) for v in range(k) for u in range(v)]
-            star = [(k, v) for v in range(k + 1, k + 1 + extra)]
-            for p in range(3, 9):
-                built = build_witness(n, e, p)
-                if extra <= max(n - k - 1, 0):  # k = n leaves no star, and no extra
-                    assert built.graph == Graph.from_edges(n, edges + star), (n, e, p)
-                    assert built.clique_vertices == frozenset(range(k))
-                else:
-                    assert isinstance(built, Infeasible), (n, e, p)
-                    assert (built.k, built.placed) == (k, n - k - 1), (n, e, p)
+    # The girth part takes the extra edges as a star at vertex k; after a
+    # spanning star any two of its vertices are at distance <= 2 < p, so
+    # nothing more fits.  A builder that seeds the girth part must keep
+    # these graphs.  Every e for n <= 20; above that, at sampled n up to the
+    # guard, the two e whose extra just fits and just misses, with dense e
+    # (the complement of the same structure) as well.
+    cases = [(n, e) for n in range(21) for e in range(binom2(n) + 1)]
+    for n in (62, 63, 100, 240, BUILD_GUARD):
+        k = n // 2 + 1  # n - k < k, so k stays the clique size of both e
+        cases += [(n, binom2(k) + n - k - 1), (n, binom2(k) + n - k)]
+    for n, e in cases:
+        k = max(k for k in range(n + 1) if binom2(k) <= e) if e else 0
+        extra = e - binom2(k)
+        edges = [(u, v) for v in range(k) for u in range(v)]
+        star = [(k, v) for v in range(k + 1, k + 1 + extra)]
+        fits = extra <= max(n - k - 1, 0)  # k = n leaves no star, and no extra
+        expected = Graph.from_edges(n, edges + star) if fits else None
+        for p in range(3, 9):
+            built = build_witness(n, e, p)
+            if fits:
+                assert built.graph == expected, (n, e, p)
+                assert built.clique_vertices == frozenset(range(k))
+            else:
+                assert isinstance(built, Infeasible), (n, e, p)
+                assert (built.k, built.placed) == (k, n - k - 1), (n, e, p)
+        if n > 20:
+            dense = build_witness_or_complement(n, binom2(n) - e, 5)
+            if fits:
+                assert dense.complemented and dense.graph == expected.complement(), (n, e)
+            else:
+                assert isinstance(dense, Infeasible), (n, e)
+                assert (dense.k, dense.placed) == (k, n - k - 1), (n, e)
 
 
 def test_builder_soundness_and_determinism():
@@ -130,7 +149,7 @@ def test_verify_witness_pass_and_failures():
     short = build_witness(30, 20, 5)
     assert isinstance(short, WitnessGraph)
     # (5,5) needs girth above 5; a p=5 witness with an actual short cycle would
-    # fail, but the greedy builder only ever places forests, so girth is inf
+    # fail, but the builder only ever places a star, so girth is inf
     part = sorted(short.girth_part)
     sub = Graph(len(part))
     for i, u in enumerate(part):
