@@ -1,13 +1,14 @@
 """Canonical labeling for small graphs (n <= 16).
 
 Equitable refinement plus individualization backtracking over ordered
-partitions; the canonical form is the minimum upper-triangle encoding over all
-discrete partitions the search reaches.  Collapsing twin vertices (equal
-neighborhoods outside the pair), found once per graph, keeps high-symmetry
-graphs such as empty graphs, cliques, and unions of cliques from exploding the
-branch count.  A labelling returns the canonical code, the canonical order,
-and generators of the automorphism group, under which ``orbit`` walks
-orbits; ``rows_of`` turns a code back into rows.
+partitions; the canonical form is the minimum upper-triangle code
+(graphs.code_of) over all discrete partitions the search reaches.
+Collapsing twin vertices (equal neighborhoods outside the pair), found once
+per graph, keeps high-symmetry graphs such as empty graphs, cliques, and
+unions of cliques from exploding the branch count.  A labelling returns the
+canonical code, the canonical order, and generators of the automorphism
+group, under which ``orbit`` walks orbits; graphs.rows_of turns a code back
+into rows.
 
 The entry points work on bare adjacency-row tuples.
 """
@@ -15,6 +16,7 @@ The entry points work on bare adjacency-row tuples.
 from __future__ import annotations
 
 from .errors import DomainError
+from .graphs import code_of
 
 MAX_N = 16  # a neighbor count is packed in 4 bits
 
@@ -68,20 +70,6 @@ def _refine(
     return cells
 
 
-def _encode(rows: tuple[int, ...], order: list[int]) -> int:
-    """Upper-triangle bits (column-major) of the relabeled graph as one int:
-    column j, the neighbors of order[j] among order[:j], is j bits with
-    order[0] on top."""
-    enc = 0
-    for j in range(1, len(order)):
-        r = rows[order[j]]
-        col = 0
-        for i in range(j):
-            col = col << 1 | (r >> order[i] & 1)
-        enc = enc << j | col
-    return enc
-
-
 def root_partition(rows: tuple[int, ...], n: int) -> list[list[int]]:
     """The equitable partition the search starts from, the refinement of
     [all].  Its cells are unions of orbits, and the last cell holds only
@@ -92,7 +80,7 @@ def root_partition(rows: tuple[int, ...], n: int) -> list[list[int]]:
 def canonical_rows(
     rows: tuple[int, ...], n: int, root: list[list[int]] | None = None
 ) -> tuple[int, list[int], list[list[int]]]:
-    """The canonical code (the least _encode over the leaves the search
+    """The canonical code (the least code_of over the leaves the search
     reaches), the canonical order (new index -> old vertex) that encodes to
     it, and generators of the automorphism group in the input's labels
     (vertex -> image), for 0 <= n <= MAX_N.  ``root`` may pass
@@ -147,7 +135,7 @@ def canonical_rows(
         nonlocal best_enc, best_order
         if len(cells) == n:
             order = [c[0] for c in cells]
-            enc = _encode(rows, order)
+            enc = code_of(rows, order)
             if enc < best_enc:
                 best_enc = enc
                 best_order = order
@@ -168,19 +156,6 @@ def canonical_rows(
 
     descend(root)
     return best_enc, best_order, generators
-
-
-def rows_of(code: int, n: int) -> tuple[int, ...]:
-    """The adjacency rows that _encode maps to ``code`` under the identity
-    order: the graph a canonical code stands for."""
-    rows = [0] * n
-    for j in range(n - 1, 0, -1):
-        for i in range(j - 1, -1, -1):
-            if code & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            code >>= 1
-    return tuple(rows)
 
 
 def orbit(mask: int, generators: list[list[int]]) -> set[int]:

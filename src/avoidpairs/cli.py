@@ -174,10 +174,9 @@ def _parse_vertices(text: str, n: int) -> frozenset[int]:
 
 
 def cmd_pell(args):
-    states = pell.pell_states() if args.raw else pell.m_states()
     return (
         json_line({**state._asdict(), "m": state.m, "checks": pell.verify_pell_state(state)})
-        for state in itertools.islice(states, args.count)
+        for state in pell.first_states(args.count, args.raw)
     )
 
 

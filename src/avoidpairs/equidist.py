@@ -19,8 +19,10 @@ from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, frac_sqrt_half
 from .pell import m_states
 from .records import Record
 
-# diag_equidist refuses a sample of more members of M (10,000 take 6-7 s)
+# diag_equidist refuses a sample of more members of M (10,000 take 6-7 s),
+# and a longer stride-4 sequence (10^6 terms take about 4 s)
 M_SAMPLE_GUARD = 10_000
+SAMPLE_GUARD = 10**6
 
 
 class EquidistReport(Record):
@@ -79,7 +81,8 @@ def diag_equidist(q: int, count: int, bins: int, fracbits: int = DEFAULT_FRACBIT
     fractional parts are exactly 1/2, so all mass lands in the bin holding 1/2.
     Members of M grow geometrically, so that sample costs more than linear
     time, and more than M_SAMPLE_GUARD members raise GuardError; the stride-4
-    sequence is linear and has no guard.  Every refusal comes before any work.
+    sequence is linear, and more than SAMPLE_GUARD terms of it raise
+    GuardError.  Every refusal comes before any work.
     """
     if bins < 2:
         raise DomainError(f"need at least 2 bins, got {bins}")
@@ -91,6 +94,8 @@ def diag_equidist(q: int, count: int, bins: int, fracbits: int = DEFAULT_FRACBIT
         stride, m_start = 0, next(m_states()).m
         ms: Iterable[int] = (state.m for state in islice(m_states(), count))
     else:
+        if count > SAMPLE_GUARD:
+            raise GuardError(f"equidist guard: {count} stride-4 terms exceed {SAMPLE_GUARD}")
         stride, m_start = 4, _first_valid_m(q)
         ms = range(stride * m_start, stride * (m_start + count), stride)
     values = (frac_y(m, q, fracbits).value for m in ms)

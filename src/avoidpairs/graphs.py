@@ -1,5 +1,5 @@
-"""Simple undirected graphs on bitset adjacency rows, graph6 serialization,
-and girth computation.
+"""Simple undirected graphs on bitset adjacency rows, the upper-triangle
+code and graph6 serialization built on it, and girth computation.
 
 Rows are Python ints used as bitsets, so the same representation covers both
 the small oracle graphs (n <= 16) and larger witness graphs.
@@ -7,8 +7,9 @@ the small oracle graphs (n <= 16) and larger witness graphs.
 
 from __future__ import annotations
 
+import binascii
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -89,6 +90,39 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 GRAPH6_MAX_N = 258047  # largest order the 4-byte header can state
 
+# graph6 body bytes 63-126 are base64 sextets with the alphabet shifted to "?"
+_G6 = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64, _FROM_B64 = bytes.maketrans(_G6, _B64), bytes.maketrans(_B64, _G6)
+_NOT_G6 = str.maketrans("", "", _G6.decode())  # deletes every graph6 body byte
+
+
+def code_of(rows: Sequence[int], order: Sequence[int]) -> int:
+    """Upper-triangle bits (column-major) of the relabeled graph as one int:
+    column j, the neighbors of order[j] among order[:j], is j bits with
+    order[0] on top.  These are graph6's body bits, so for one n codes sort
+    as graph6 strings do."""
+    enc = 0
+    for j in range(1, len(order)):
+        r = rows[order[j]]
+        col = 0
+        for i in range(j):
+            col = col << 1 | (r >> order[i] & 1)
+        enc = enc << j | col
+    return enc
+
+
+def rows_of(code: int, n: int) -> tuple[int, ...]:
+    """The adjacency rows that code_of maps to ``code`` under the identity
+    order, in time linear in binom2(n).  Each column is one slice of the
+    bit string, padded to n characters, so character w*n + v of ``grid``
+    is the pair v < w: row v is column v or'ed with the stride-n slice from
+    v."""
+    bits = format(code, "b").zfill(n * (n - 1) // 2)
+    grid = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
+    return tuple(int(grid[v * n : v * n + n][::-1], 2) | int(grid[v::n][::-1], 2)
+                 for v in range(n))
+
 
 def to_graph6(g: Graph) -> str:
     """Header-less graph6 string; bit-exact for 0 <= n <= 258047.
@@ -99,23 +133,14 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n > GRAPH6_MAX_N:
         raise DomainError(f"graph6 support here covers n <= {GRAPH6_MAX_N}, got n={n}")
-    bits = []
-    for j in range(1, n):
-        row = g.rows[j]
-        for i in range(j):
-            bits.append(row >> i & 1)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = n * (n - 1) // 2
+    sextets = (bits + 5) // 6
+    size = -(-sextets // 4) * 3  # whole base64 groups: zero bits follow the code
+    data = (code_of(g.rows, range(n)) << 8 * size - bits).to_bytes(size, "big")
+    body = binascii.b2a_base64(data, newline=False)[:sextets].translate(_FROM_B64).decode()
     if n <= 62:
-        chars = [chr(n + 63)]
-    else:
-        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for k in range(0, len(bits), 6):
-        word = 0
-        for b in bits[k : k + 6]:
-            word = word << 1 | b
-        chars.append(chr(word + 63))
-    return "".join(chars)
+        return chr(n + 63) + body
+    return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) + body
 
 
 def _graph6_word(ch: str) -> int:
@@ -147,20 +172,15 @@ def from_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise DomainError(f"graph6 body length {len(body)}, expected {need} for n={n}")
-    bits = []
-    for ch in body:
-        word = _graph6_word(ch)
-        bits.extend(word >> k & 1 for k in range(5, -1, -1))
-    g = Graph(n)
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                g.add_edge(i, j)
-            idx += 1
-    if any(bits[idx:]):
+    bad = body.translate(_NOT_G6)
+    if bad:
+        _graph6_word(bad[0])  # raises on the first byte outside "?".."~"
+    data = binascii.a2b_base64(body.encode().translate(_TO_B64) + b"A" * (-need % 4))
+    value = int.from_bytes(data, "big") >> 8 * len(data) - 6 * need
+    padding = 6 * need - n * (n - 1) // 2
+    if value & (1 << padding) - 1:
         raise DomainError("nonzero padding bits in graph6 string")
-    return g
+    return Graph(n, rows_of(value >> padding, n))
 
 
 def girth(g: Graph) -> int | float:

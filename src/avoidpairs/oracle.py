@@ -9,11 +9,11 @@ import math
 from collections.abc import Iterator
 from itertools import combinations
 
-from .canon import canonical_rows, orbit, root_partition, rows_of
+from .canon import canonical_rows, orbit, root_partition
 from .criterion import PairMF
 from .errors import DomainError, GuardError
 from .exactarith import binom2
-from .graphs import Graph, girth, to_graph6
+from .graphs import Graph, girth, rows_of, to_graph6
 from .records import Record
 
 QUERY_GUARD = 10          # single (n, e) enumeration
@@ -83,11 +83,15 @@ def _classes(
     new vertex induces f edges, which _completions decides from the parent's
     (m-1)-subsets.  Not arrowing is hereditary for induced subgraphs, so the
     canonical deletion chain of a class that does not arrow passes these
-    tests too, and the pruning loses no such class; every mask in one orbit
-    of Aut(parent) gives an isomorphic child, so the test can come after the
-    orbit is marked.  A kept parent does not arrow, so a kept child arrows
-    only through its new vertex: every class yielded does not arrow.  The
-    one-vertex root arrows exactly (1, 0), and then nothing is yielded.
+    tests too, and the pruning loses no such class.  The test runs before
+    the mask's orbit is walked: an automorphism of the parent maps
+    completion sets onto completion sets and keeps the degree tests, so the
+    test has one answer on a whole orbit.  A mask that fails leaves its
+    orbit unmarked, and each orbit-mate then fails too, so the kept children
+    and the labelled candidates are those of a test after the walk.  A kept
+    parent does not arrow, so a kept child arrows only through its new
+    vertex: every class yielded does not arrow.  The one-vertex root arrows
+    exactly (1, 0), and then nothing is yielded.
     """
     total = binom2(n)
     # without a pair no graph reaches m = n + 1 vertices: nothing is dropped
@@ -119,9 +123,9 @@ def _classes(
             d = mask.bit_count()
             if not d_lo <= d <= d_hi or d == top and mask & tops or mask in seen:
                 continue
-            seen |= orbit(mask, generators)
             if any((mask & t).bit_count() == need for t, need in completions):
                 continue
+            seen |= orbit(mask, generators)
             child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(rows)) + (mask,)
             root = root_partition(child, k + 1)
             if k not in root[-1]:
@@ -161,7 +165,7 @@ def enumerate_graphs(n: int, e: int) -> Iterator[Graph]:
     built."""
     _refuse_query(n, e)
     for code in sorted(_classes(n, e, e)):
-        yield Graph(n, list(rows_of(code, n)))
+        yield Graph(n, rows_of(code, n))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +225,7 @@ def _least_failures(n: int, e_lo: int, e_hi: int, pair: PairMF) -> dict[int, Gra
         e = code.bit_count()
         if e not in least or code < least[e]:
             least[e] = code
-    return {e: Graph(n, list(rows_of(code, n))) for e, code in sorted(least.items())}
+    return {e: Graph(n, rows_of(code, n)) for e, code in sorted(least.items())}
 
 
 def arrows_pair(n: int, e: int, pair: PairMF) -> ArrowVerdict:

@@ -1,14 +1,23 @@
 """Integer solutions of x^2 - 2*y^2 = 7 under a fixed 2x2 recursion, and the
 derived order set M = {(x_s + 5)/2 : s >= 2} = {40, 221, 1276, ...} whose
 members admit exact avoidability certificates at the half edge count.
+
+M starts at s = 2 because the paper defines it so.  The half-size
+certificate holds at s = 1 too: (9, 18) is certified, with L = 7 > R = 6 in
+both orientations.  It fails at s = 0, where m = 4 and (4, 3) is a forest.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 
-from .errors import DomainError
+from .errors import DomainError, GuardError
 from .records import Record
+
+# first_states refuses more states: a listing of them grows as the square of
+# the count (1.3 MB of pell --count output at 1,000 states, 4.9 MB at 2,000)
+COUNT_GUARD = 2000
 
 
 class PellState(Record):
@@ -46,6 +55,14 @@ def m_states() -> Iterator[PellState]:
     for state in pell_states():
         if state.s >= 2:
             yield state
+
+
+def first_states(count: int, raw: bool = False) -> Iterator[PellState]:
+    """The first `count` states with s >= 2, or from s = 0 with raw; more
+    than COUNT_GUARD raise GuardError before any state is made."""
+    if count > COUNT_GUARD:
+        raise GuardError(f"pell guard: count={count} exceeds {COUNT_GUARD}")
+    return islice(pell_states() if raw else m_states(), count)
 
 
 def generate_M(count: int) -> list[int]:

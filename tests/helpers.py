@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from avoidpairs.canon import canonical_rows, rows_of
+from avoidpairs.canon import canonical_rows
 from avoidpairs.criterion import (
     AvoidabilityCert,
     PairMF,
@@ -22,12 +22,85 @@ from avoidpairs.criterion import (
 )
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
-from avoidpairs.graphs import Graph
+from avoidpairs.graphs import GRAPH6_MAX_N, Graph, rows_of
 from avoidpairs.oracle import _classes, arrows
 
 
+def to_graph6_per_bit(g: Graph) -> str:
+    """Reference for graphs.to_graph6: the upper triangle, column by column,
+    as a list of bits, padded to a multiple of 6 and packed one byte per
+    six bits."""
+    n = g.n
+    if n > GRAPH6_MAX_N:
+        raise DomainError(f"graph6 support here covers n <= {GRAPH6_MAX_N}, got n={n}")
+    bits = []
+    for j in range(1, n):
+        row = g.rows[j]
+        for i in range(j):
+            bits.append(row >> i & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    if n <= 62:
+        chars = [chr(n + 63)]
+    else:
+        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
+    for k in range(0, len(bits), 6):
+        word = 0
+        for b in bits[k : k + 6]:
+            word = word << 1 | b
+        chars.append(chr(word + 63))
+    return "".join(chars)
+
+
+def _graph6_word(ch: str) -> int:
+    word = ord(ch) - 63
+    if not 0 <= word < 64:
+        raise DomainError(f"invalid graph6 byte {ch!r}")
+    return word
+
+
+def from_graph6_per_bit(text: str) -> Graph:
+    """Reference for graphs.from_graph6, with its refusals in the same
+    order: every body byte unpacked into a list of bits, one edge added per
+    set bit, then the padding bits checked."""
+    s = text.strip()
+    if not s:
+        raise DomainError("empty graph6 string")
+    if s[0] == "~":
+        if len(s) < 4 or s[1] == "~":
+            raise DomainError(
+                f"unsupported graph6 order header {s[:4]!r} (n <= {GRAPH6_MAX_N} only)"
+            )
+        n = 0
+        for ch in s[1:4]:
+            n = n << 6 | _graph6_word(ch)
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        if not 0 <= n <= 62:
+            raise DomainError(f"unsupported graph6 order byte {s[0]!r}")
+        body = s[1:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise DomainError(f"graph6 body length {len(body)}, expected {need} for n={n}")
+    bits = []
+    for ch in body:
+        word = _graph6_word(ch)
+        bits.extend(word >> k & 1 for k in range(5, -1, -1))
+    g = Graph(n)
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                g.add_edge(i, j)
+            idx += 1
+    if any(bits[idx:]):
+        raise DomainError("nonzero padding bits in graph6 string")
+    return g
+
+
 def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, list(rows_of(canonical_rows(tuple(g.rows), g.n)[0], g.n)))
+    return Graph(g.n, rows_of(canonical_rows(tuple(g.rows), g.n)[0], g.n))
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
@@ -275,7 +348,7 @@ def failing_classes(n: int, pair: PairMF) -> tuple[int, ...]:
     level on n vertices in graph6 order, each class decided by
     oracle.arrows, keeping those that do not arrow the pair."""
     return tuple(code for code in sorted_classes(n, 0, binom2(n))
-                 if not arrows(Graph(n, list(rows_of(code, n))), pair))
+                 if not arrows(Graph(n, rows_of(code, n)), pair))
 
 
 def least_failures_reference(n: int, pair: PairMF) -> dict[int, Graph]:
@@ -283,7 +356,7 @@ def least_failures_reference(n: int, pair: PairMF) -> dict[int, Graph]:
     failing class in graph6 order at each e, by increasing e."""
     least: dict[int, Graph] = {}
     for code in failing_classes(n, pair):
-        least.setdefault(code.bit_count(), Graph(n, list(rows_of(code, n))))
+        least.setdefault(code.bit_count(), Graph(n, rows_of(code, n)))
     return dict(sorted(least.items()))
 
 

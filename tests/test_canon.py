@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from avoidpairs.canon import canonical_rows, rows_of
+from avoidpairs.canon import canonical_rows
 from avoidpairs.errors import DomainError
-from avoidpairs.graphs import Graph, to_graph6
+from avoidpairs.graphs import Graph, rows_of, to_graph6
 
 from helpers import canonical_graph, canonical_key
 
@@ -73,7 +73,7 @@ def test_codes_decode_to_their_class_and_sort_as_graph6():
             assert code.bit_count() == g.edge_count()
             assert canonical_rows(rows, n)[0] == code
             codes.add(code)
-        graph6 = [to_graph6(Graph(n, list(rows_of(code, n)))) for code in sorted(codes)]
+        graph6 = [to_graph6(Graph(n, rows_of(code, n))) for code in sorted(codes)]
         assert graph6 == sorted(graph6)
 
 

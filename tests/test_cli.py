@@ -27,6 +27,7 @@ from avoidpairs.cli import (
     dump_json,
     main,
 )
+from avoidpairs.pell import COUNT_GUARD
 from helpers import offset_disjunction_records, scan_interval_record
 from test_golden_stdout import GOLDEN, GOLDEN_STDERR, WITNESS_G6
 
@@ -53,6 +54,16 @@ def test_pell_raw_stream(capsys):
     code, out, _ = run_cli(capsys, "pell", "--count", "4", "--raw")
     assert code == EXIT_OK
     assert [rec["m"] for rec in json_lines(out)] == [4, 9, 40, 221]
+
+
+def test_pell_count_is_guarded(capsys):
+    # the output grows as the square of the count: 4.9 MB at the bound
+    code, out, _ = run_cli(capsys, "pell", "--count", str(COUNT_GUARD))
+    assert code == EXIT_OK and out.count("\n") == COUNT_GUARD
+    code, out, err = run_cli(capsys, "pell", "--count", str(COUNT_GUARD + 1))
+    assert (code, out) == (EXIT_GUARD, "")
+    assert json.loads(err) == {"error": f"pell guard: count={COUNT_GUARD + 1} exceeds "
+                                        f"{COUNT_GUARD}", "kind": "guard"}
 
 
 def test_criterion_eval_json_and_csv(capsys):

@@ -5,8 +5,10 @@ import tracemalloc
 
 import pytest
 
+from avoidpairs import equidist
 from avoidpairs.equidist import (
     M_SAMPLE_GUARD,
+    SAMPLE_GUARD,
     _first_valid_m,
     diag_equidist,
     frac_y,
@@ -91,3 +93,18 @@ def test_sample_over_M_is_guarded_before_any_work():
     # domain refusals come first
     with pytest.raises(DomainError):
         diag_equidist(0, M_SAMPLE_GUARD + 1, 1, restrict_to_M=True)
+
+
+def test_stride_sample_is_guarded_before_any_work(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(GuardError):
+        diag_equidist(0, SAMPLE_GUARD + 1, 10)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(DomainError):
+        diag_equidist(0, SAMPLE_GUARD + 1, 1)
+    # the bound itself is admitted; at 10^6 terms that takes seconds, so the
+    # guard is lowered to keep the check fast
+    monkeypatch.setattr(equidist, "SAMPLE_GUARD", 1000)
+    assert sum(diag_equidist(0, 1000, 10).histogram) == 1000
+    with pytest.raises(GuardError):
+        diag_equidist(0, 1001, 10)

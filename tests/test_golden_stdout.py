@@ -14,7 +14,9 @@ are rebuilt from the scanner's rows, was recorded before the scanner yielded
 rows in place of dicts.  The last five scan-interval hashes, among them the
 empty interval (m = 2) and an all_pass one (m = 19022), and its two refusals
 were recorded before scan-interval streamed its one JSON line.  The witness
-build refusal (exit 3) names a build the size guard refuses before any work.
+build refusal (exit 3) names a build the size guard refuses before any work,
+and so do the pell and stride-4 diag equidist refusals at one above their
+guards.
 A refactor that changes a byte of output fails here.
 
 Regenerate a hash only for a deliberate output change, by running the argv
@@ -139,6 +141,10 @@ GOLDEN_REFUSALS = [
      '{"error":"scan_interval needs m >= 1, got -5","kind":"domain"}\n'),
     (['witness', 'build', '--n', '4000', '--e', '4000000', '--p', '5'], 3,
      '{"error":"witness build guard: n=4000 exceeds 2000","kind":"guard"}\n'),
+    (['pell', '--count', '2001'], 3,
+     '{"error":"pell guard: count=2001 exceeds 2000","kind":"guard"}\n'),
+    (['diag', 'equidist', '--q', '0', '--n', '1000001', '--bins', '10'], 3,
+     '{"error":"equidist guard: 1000001 stride-4 terms exceed 1000000","kind":"guard"}\n'),
 ]
 
 

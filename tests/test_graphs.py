@@ -2,11 +2,14 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from avoidpairs.errors import DomainError
+from avoidpairs.exactarith import binom2
 from avoidpairs.graphs import Graph, from_graph6, girth, to_graph6
+from avoidpairs.witness import build_witness
 
 
 def _random_graph(rng, n, p=0.4):
@@ -94,6 +97,19 @@ def test_graph6_long_header_round_trip():
         text = to_graph6(g)
         assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
         assert from_graph6(text) == g
+
+
+def test_graph6_round_trips_the_2000_vertex_witness():
+    # K_1414 plus a star on the other 585 vertices, about 2 * 10^6 code bits:
+    # the decoder is linear in them and takes well under a second, where
+    # shifting the whole code once per bit is quadratic (52 s)
+    e = binom2(1414) + 585
+    w = build_witness(2000, e, p=5)
+    text = to_graph6(w.graph)
+    assert text[:4] == "~?^O" and len(text) == 4 + (binom2(2000) + 5) // 6
+    start = time.perf_counter()
+    assert from_graph6(text) == w.graph and w.graph.edge_count() == e
+    assert time.perf_counter() - start < 5
 
 
 def test_graph6_errors():

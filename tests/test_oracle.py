@@ -7,11 +7,10 @@ import tracemalloc
 import pytest
 
 from avoidpairs import oracle
-from avoidpairs.canon import rows_of
 from avoidpairs.criterion import PairMF, Realizable, clique_forest_realizable
 from avoidpairs.errors import DomainError, GuardError
 from avoidpairs.exactarith import binom2
-from avoidpairs.graphs import Graph, from_graph6, to_graph6
+from avoidpairs.graphs import Graph, from_graph6, rows_of, to_graph6
 from avoidpairs.oracle import (
     _classes,
     arrows,
@@ -86,7 +85,7 @@ def test_level_8_bytes_are_pinned():
     # the classes on 8 vertices and their order, as graph6 lines
     digest = hashlib.sha256()
     for code in sorted_classes(8, 0, binom2(8)):
-        digest.update((to_graph6(Graph(8, list(rows_of(code, 8)))) + "\n").encode())
+        digest.update((to_graph6(Graph(8, rows_of(code, 8))) + "\n").encode())
     assert digest.hexdigest() == "2415a1e55618d429e08e9b28ac59a8ea8e97f81ad24069d6fa3f383a7ce2a03c"
 
 
@@ -136,6 +135,8 @@ def test_pruned_stream_matches_unpruned_reference():
     cases = [(n, PairMF(m, f)) for n in range(1, 7) for m in range(1, n + 1)
              for f in range(binom2(m) + 1)]
     cases += [(7, PairMF(m, f)) for m in range(1, 5) for f in range(binom2(m) + 1)]
+    cases += [(8, PairMF(m, f)) for m, f in
+              ((3, 1), (4, 3), (5, 4), (5, 5), (6, 0), (6, 7), (7, 9), (8, 14))]
     for n, pair in cases:
         total = binom2(n)
         assert sorted(_classes(n, 0, total, pair)) == sorted(failing_classes(n, pair)), (n, pair)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from avoidpairs.criterion import AvoidabilityCert, Impossible, PairMF, avoidability_certificate
 from avoidpairs.errors import DomainError
 from avoidpairs.pell import (
     PellState,
@@ -84,3 +85,9 @@ def test_membership():
     assert is_in_M(40) and is_in_M(1276)
     assert not is_in_M(41)
     assert not is_in_M(4) and not is_in_M(9)  # raw states below s = 2 are excluded
+    # M follows the paper from s = 2; the half-size certificate holds at
+    # s = 1 as well, and fails at s = 0, where (4, 3) is a forest
+    cert = avoidability_certificate(PairMF(9, 18))
+    assert isinstance(cert, AvoidabilityCert)
+    assert cert.cert_direct == cert.cert_complement == Impossible(L=7, R=6)
+    assert not isinstance(avoidability_certificate(PairMF(4, 3)), AvoidabilityCert)

@@ -1,9 +1,9 @@
 """Property tests: the surd floor against integer bisection, the floor
 decision against the linear reference, the scan-t4 and scan-interval line
-formats against the JSON encoder, the graph6 round trip and its refusal of
-malformed text, canonical labelling under relabelling and the automorphisms
-it records, and the arrowing decision against the full induced-size set,
-over inputs drawn by hypothesis."""
+formats against the JSON encoder, graph6 against its per-bit reference in
+both directions, refusals included, canonical labelling under relabelling
+and the automorphisms it records, and the arrowing decision against the
+full induced-size set, over inputs drawn by hypothesis."""
 
 import contextlib
 import io
@@ -13,7 +13,7 @@ import random
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from avoidpairs.canon import canonical_rows, orbit, rows_of
+from avoidpairs.canon import canonical_rows, orbit
 from avoidpairs.cli import dump_json, main
 from avoidpairs.criterion import (
     PairMF,
@@ -23,14 +23,16 @@ from avoidpairs.criterion import (
 )
 from avoidpairs.errors import DomainError
 from avoidpairs.exactarith import binom2, surd_floor
-from avoidpairs.graphs import Graph, from_graph6, to_graph6
+from avoidpairs.graphs import Graph, from_graph6, rows_of, to_graph6
 from avoidpairs.oracle import arrows
 from helpers import (
+    from_graph6_per_bit,
     induced_size_set,
     interval_bounds_fraction,
     offset_disjunction_records,
     scan_interval_record,
     smallest_clique_size_linear,
+    to_graph6_per_bit,
 )
 
 
@@ -106,8 +108,9 @@ def test_scan_interval_line_matches_dump_json(m):
     assert out.getvalue() == dump_json(scan_interval_record(m)) + "\n"
 
 
-@given(st.integers(0, 300), st.floats(0, 1), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 70), st.sampled_from([62, 63, 64, 300])),
+       st.floats(0, 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
 def test_graph6_round_trip(n, density, seed):
     # the edges come from a seeded generator: a drawn edge list for n = 300
     # would overrun hypothesis's per-example data budget
@@ -115,24 +118,37 @@ def test_graph6_round_trip(n, density, seed):
     g = Graph.from_edges(
         n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
     )
-    assert from_graph6(to_graph6(g)) == g
+    text = to_graph6(g)
+    assert text == to_graph6_per_bit(g)
+    assert from_graph6(text) == g
 
 
-# any text, and text over the graph6 alphabet with its neighbours '>' and DEL
+g6_bytes = st.characters(min_codepoint=0x3E, max_codepoint=0x7F)
+# any text, text over the graph6 alphabet with its neighbours '>' and DEL,
+# and a one-byte header with a body of the length it asks for
 graph6_texts = st.one_of(
     st.text(max_size=12),
-    st.text(alphabet=st.characters(min_codepoint=0x3E, max_codepoint=0x7F), max_size=12),
+    st.text(alphabet=g6_bytes, max_size=12),
+    st.integers(0, 12).flatmap(lambda n: st.text(
+        alphabet=g6_bytes, min_size=(binom2(n) + 5) // 6, max_size=(binom2(n) + 5) // 6,
+    ).map(lambda body: chr(n + 63) + body)),
 )
+
+
+def _decoded(decode, text):
+    try:
+        return decode(text)
+    except DomainError as exc:
+        return str(exc)
 
 
 @given(graph6_texts)
 @settings(max_examples=500, deadline=None)
 def test_from_graph6_returns_a_graph_or_raises_domain_error(text):
-    try:
-        g = from_graph6(text)
-    except DomainError:
-        return
-    assert isinstance(g, Graph)
+    # the same graph, or the same first refusal, as the per-bit reference
+    g = _decoded(from_graph6, text)
+    assert isinstance(g, (Graph, str))
+    assert g == _decoded(from_graph6_per_bit, text)
 
 
 @st.composite
@@ -191,7 +207,7 @@ def test_recorded_automorphisms_give_the_brute_force_orbits(g):
     pos = {u: i for i, u in enumerate(order)}
     assert sorted(order) == list(range(g.n))
     relabelled = Graph.from_edges(g.n, ((pos[u], pos[v]) for u, v in edges))
-    assert relabelled == Graph(g.n, list(rows_of(code, g.n)))
+    assert relabelled == Graph(g.n, rows_of(code, g.n))
 
 
 @given(small_graphs(), st.data())

@@ -107,14 +107,19 @@ def test_criterion_cert_executes_only_criterion_and_its_imports():
     assert executed & (untouched | {"typing"}) == set()
 
 
-def test_witness_build_executes_neither_oracle_nor_canon():
-    executed = executed_modules(
-        "from avoidpairs.cli import main\n"
-        "assert main(['witness', 'build', '--n', '30', '--e', '20', '--p', '6',"
-        " '--pair', '5,5']) == 0"
-    )
-    assert "avoidpairs.witness" in executed
-    assert executed & {"avoidpairs.oracle", "avoidpairs.canon"} == set()
+def test_witness_build_executes_neither_oracle_nor_canon(tmp_path):
+    # graph6 and its bit layout belong to graphs: neither writing nor
+    # reading a witness reaches the canonical labelling
+    g6 = tmp_path / "w.g6"
+    for argv in (
+        ["witness", "build", "--n", "30", "--e", "20", "--p", "6", "--pair", "5,5",
+         "--graph6", str(g6)],
+        ["witness", "verify", "--graph6", str(g6), "--pair", "5,5",
+         "--clique-vertices", "0,1,2,3,4", "--p", "6"],
+    ):
+        executed = executed_modules(f"from avoidpairs.cli import main\nassert main({argv!r}) == 0")
+        assert {"avoidpairs.witness", "avoidpairs.graphs"} <= executed, argv
+        assert executed & {"avoidpairs.oracle", "avoidpairs.canon"} == set(), argv
 
 
 def test_import_package_executes_no_submodule():
