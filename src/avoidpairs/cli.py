@@ -127,6 +127,12 @@ _INTERVAL_ROW = {
 }
 
 
+def _fracbits(args) -> int:
+    """--fracbits, or exactarith's default; only the commands that use it
+    read it, so no other executes exactarith for it."""
+    return exactarith.DEFAULT_FRACBITS if args.fracbits is None else args.fracbits
+
+
 def _frac_record(frac: exactarith.FixedPointFrac) -> dict:
     return {"value": frac.value, "fracbits": frac.fracbits, "approx": float(frac)}
 
@@ -201,16 +207,17 @@ def _csv_lines(header, rows):
     return (",".join(map(str, row)) + "\n" for row in itertools.chain((header,), rows))
 
 
-def _criterion_csv_lines(mq_pairs):
-    def row(m: int, q: int):
-        dy, dz = criterion.radicands(m, q)
-        return _criterion_row(m, q, dy, dz, *criterion.lr_floors(dy, dz)).values()
+def _criterion_csv_lines(mqlr):
+    """CSV lines of a scanner's (m, q, L, R): the scanner has checked the
+    envelope and taken the floors, so only the radicands are computed."""
+    def row(m: int, q: int, L: int, R: int):
+        return _criterion_row(m, q, *criterion.radicands(m, q), L, R).values()
 
-    return _csv_lines(CRITERION_CSV_HEADER, itertools.starmap(row, mq_pairs))
+    return _csv_lines(CRITERION_CSV_HEADER, itertools.starmap(row, mqlr))
 
 
 def cmd_criterion_eval(args):
-    ev = criterion.eval_criterion(args.m, args.q, args.fracbits)
+    ev = criterion.eval_criterion(args.m, args.q, _fracbits(args))
     row = _criterion_row(ev.m, ev.q, ev.Dy, ev.Dz, ev.L, ev.R)
     if args.csv:
         return _csv_lines(CRITERION_CSV_HEADER, [row.values()])
@@ -237,10 +244,11 @@ def cmd_criterion_scan_t4(args):
     # a failed --assert raises from the scanner only after its last row
     rows = criterion.scan_offset_disjunction(args.from_m, args.to_m, assert_all=args.assert_all)
     if args.csv:
+        # q = 0, 6m, -6m take the floors at i and i + 3 (SCAN_T4_FIELDS)
         return _criterion_csv_lines(
-            (row[6], k * row[6])
+            (row[6], k * row[6], row[i], row[i + 3])
             for row in rows
-            for k in ((0, 6, -6) if row[1] is not None else (0,))
+            for k, i in (((0, 0), (6, 1), (-6, 2)) if row[1] is not None else ((0, 0),))
         )
     # from the row after the head on, the fixed format writes every row
     return itertools.chain(_scan_t4_head(rows), map(_SCAN_T4_LINE, rows))
@@ -251,10 +259,10 @@ def cmd_criterion_scan_t2(args):
     records = criterion.scan_affine_q(q_of_m, args.from_m, args.to_m)
     if args.csv:
         return _criterion_csv_lines(
-            (rec["m"], sign * rec["q"])
+            (rec["m"], sign * rec["q"], rec["L_" + side], rec["R_" + side])
             for rec in records
             if rec["status"] in ("hit", "miss")
-            for sign in (1, -1)
+            for sign, side in ((1, "pos"), (-1, "neg"))
         )
     return map(json_line, records)
 
@@ -279,11 +287,9 @@ def cmd_criterion_scan_mod23(args):
 
 
 def _witness_record(w: witness.WitnessGraph) -> dict:
-    part_girth = graphs.girth(graphs.induced_subgraph(w.structure_graph(), w.girth_part))
-    adjacency = [
-        [u for u in range(w.graph.n) if w.graph.rows[v] >> u & 1]
-        for v in range(w.graph.n)
-    ]
+    """The witness build record without "adjacency", its first key, which
+    _adjacency_items writes row by row."""
+    part_girth = graphs.girth(w.structure_graph(), w.girth_part)
     return {
         "n": w.graph.n,
         "e": w.graph.edge_count(),
@@ -293,8 +299,17 @@ def _witness_record(w: witness.WitnessGraph) -> dict:
         "girth_part_size": len(w.girth_part),
         "girth_part_girth": None if part_girth == float("inf") else part_girth,
         "graph6": graphs.to_graph6(w.graph),
-        "adjacency": adjacency,
     }
+
+
+def _adjacency_items(g: graphs.Graph):
+    """The items of the record's "adjacency" list, each row's neighbours
+    read from its bits: the row in binary, reversed, with "0" made a zero
+    byte, selects the labels of the set bits (itertools.compress)."""
+    labels = [str(u) for u in range(g.n)]
+    for v, row in enumerate(g.rows):
+        bits = format(row, "b")[::-1].encode().replace(b"0", b"\0")
+        yield ("," if v else "") + "[" + ",".join(itertools.compress(labels, bits)) + "]"
 
 
 def cmd_witness_build(args):
@@ -314,7 +329,10 @@ def cmd_witness_build(args):
                 fh.write(record["graph6"] + "\n")
         except OSError as exc:
             raise DomainError(f"cannot write graph6 file: {exc}") from None
-    yield json_line(record)
+    # written as scan-interval's line is, so the list is never held whole
+    yield '{"adjacency":['
+    yield from _adjacency_items(built.graph)
+    yield "]," + json_line(record)[1:]
 
 
 def cmd_witness_verify(args):
@@ -371,16 +389,7 @@ def cmd_oracle_sn(args):
 
 
 def cmd_oracle_xcheck_cf(args):
-    mismatches = []
-    checked = 0
-    for m in range(1, args.max_m + 1):
-        for f in range(exactarith.binom2(m) + 1):
-            pair = criterion.PairMF(m, f)
-            search = isinstance(criterion.clique_forest_realizable(pair), criterion.Realizable)
-            brute = oracle.clique_forest_oracle(pair)
-            checked += 1
-            if search != brute:
-                mismatches.append({"m": m, "f": f, "search": search, "oracle": brute})
+    checked, mismatches = oracle.xcheck_clique_forest(args.max_m)
     yield json_line({"max_m": args.max_m, "pairs_checked": checked, "mismatches": mismatches})
     if mismatches:
         raise ScanAssertionError(f"{len(mismatches)} clique+forest mismatches", mismatches)
@@ -423,7 +432,7 @@ def cmd_diag_equidist(args):
         args.q,
         args.n,
         args.bins,
-        fracbits=args.fracbits,
+        fracbits=_fracbits(args),
         restrict_to_M=args.on_m,
     )
     return [json_line(report._asdict())]
@@ -541,9 +550,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        if args.fracbits is None:
-            args.fracbits = exactarith.DEFAULT_FRACBITS
-        elif not 32 <= args.fracbits <= 1024:
+        if args.fracbits is not None and not 32 <= args.fracbits <= 1024:
             raise DomainError(f"fracbits must be in [32, 1024], got {args.fracbits}")
         write_lines(args.handler(args))
         return EXIT_OK

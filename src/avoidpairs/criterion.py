@@ -106,9 +106,7 @@ def radicand_dy(m: int, q: int) -> int:
     return 2 * m * m - 10 * m - 8 * q + 9
 
 
-def radicands(m: int, q: int) -> tuple[int, int]:
-    """(Dy, Dz) = (2m^2-10m-8q+9, 2m^2-2m-8q+1) for the (m, q)
-    parametrization, f = m(m-1)/4 - q; refused outside the envelope."""
+def _refuse_outside_envelope(m: int, q: int) -> None:
     if not _in_envelope(m, q):
         if m < 5:
             raise DomainError(f"criterion needs m >= 5, got m={m}")
@@ -116,6 +114,12 @@ def radicands(m: int, q: int) -> tuple[int, int]:
             f"criterion needs (m-5)^2 >= 4*|q| (i.e. m >= 5 + 2*sqrt(|q|)); "
             f"got m={m}, q={q}"
         )
+
+
+def radicands(m: int, q: int) -> tuple[int, int]:
+    """(Dy, Dz) = (2m^2-10m-8q+9, 2m^2-2m-8q+1) for the (m, q)
+    parametrization, f = m(m-1)/4 - q, unchecked: callers apply their own
+    domain (lr_values and eval_criterion refuse outside the envelope)."""
     dy = radicand_dy(m, q)
     return dy, dy + 8 * (m - 1)
 
@@ -127,8 +131,8 @@ def lr_floors(dy: int, dz: int) -> tuple[int, int]:
 
 def lr_values(m: int, q: int) -> tuple[int, int]:
     """Exact (L, R) for the (m, q) parametrization, f = m(m-1)/4 - q."""
-    dy, dz = radicands(m, q)
-    return lr_floors(dy, dz)
+    _refuse_outside_envelope(m, q)
+    return lr_floors(*radicands(m, q))
 
 
 def lr_from_f(m: int, f: int) -> tuple[int, int]:
@@ -148,6 +152,7 @@ def lr_from_f(m: int, f: int) -> tuple[int, int]:
 
 def eval_criterion(m: int, q: int, fracbits: int = DEFAULT_FRACBITS) -> CriterionEval:
     """Evaluate the exact floors and diagnostics for (m, q)."""
+    _refuse_outside_envelope(m, q)
     dy, dz = radicands(m, q)
     frac_y = frac_sqrt_half(dy, fracbits)
     # d = 3/2 - (sqrt(Dz) - sqrt(Dy))/2 at fracbits precision
@@ -295,8 +300,9 @@ def scan_affine_q(q_of_m: Callable[[int], int], m_lo: int, m_hi: int) -> Iterato
         if not _in_envelope(m, q):
             yield {"m": m, "status": "skipped-envelope", "q": q}
             continue
-        lp, rp = lr_values(m, q)
-        ln, rn = lr_values(m, -q)
+        # the envelope is symmetric in q, so one check covers both signs
+        lp, rp = lr_floors(*radicands(m, q))
+        ln, rn = lr_floors(*radicands(m, -q))
         hit = lp > rp and ln > rn
         yield {
             "m": m,

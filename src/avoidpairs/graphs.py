@@ -1,5 +1,5 @@
-"""Simple undirected graphs on bitset adjacency rows, the upper-triangle
-code and graph6 serialization built on it, and girth computation.
+"""Simple undirected graphs on bitset adjacency rows, the clique-plus-star
+construction, the upper-triangle code and graph6, and the girth of a part.
 
 Rows are Python ints used as bitsets, so the same representation covers both
 the small oracle graphs (n <= 16) and larger witness graphs.
@@ -71,21 +71,16 @@ class Graph:
         return f"Graph(n={self.n}, e={self.edge_count()})"
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """The subgraph of g induced on `vertices`, relabelled 0.. in sorted order."""
-    order = sorted(vertices)
-    index = {v: i for i, v in enumerate(order)}
-    mask = sum(1 << v for v in order)
-    rows = []
-    for v in order:
-        r = g.rows[v] & mask
-        row = 0
-        while r:
-            b = r & -r
-            row |= 1 << index[b.bit_length() - 1]
-            r ^= b
-        rows.append(row)
-    return Graph(len(order), rows)
+def clique_plus_star(n: int, k: int, extra: int) -> Graph | None:
+    """K_k on vertices 0..k-1 plus a star centred at k with leaves k+1, ...,
+    k+extra, built as rows; None when the star does not fit, extra >
+    max(n - k - 1, 0): a spanning star on the other n - k vertices has
+    n - k - 1 edges, and with k = n there is no centre."""
+    if extra > max(n - k - 1, 0):
+        return None
+    clique, leaves = (1 << k) - 1, ((1 << extra) - 1) << k + 1
+    return Graph(n, [clique ^ 1 << v if v < k else leaves if v == k
+                     else 1 << k if v <= k + extra else 0 for v in range(n)])
 
 
 GRAPH6_MAX_N = 258047  # largest order the 4-byte header can state
@@ -183,17 +178,20 @@ def from_graph6(text: str) -> Graph:
     return Graph(n, rows_of(value >> padding, n))
 
 
-def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, or math.inf for forests.
+def girth(g: Graph, part: Iterable[int] | None = None) -> int | float:
+    """Length of a shortest cycle in the subgraph induced on `part` (all of
+    g by default), or math.inf for forests.
 
-    BFS from every vertex; a non-tree edge (u, w) seen from root r closes a
-    cycle of length dist[u] + dist[w] + 1, and the minimum over all roots and
-    non-tree edges is the girth.
+    BFS from every vertex of the part, on rows masked to it; a non-tree edge
+    (u, w) seen from root r closes a cycle of length dist[u] + dist[w] + 1,
+    and the minimum over all roots and non-tree edges is the girth.
     """
     n = g.n
-    rows = g.rows
+    sources = range(n) if part is None else sorted(part)
+    keep = sum(1 << v for v in sources)
+    rows = [r & keep for r in g.rows]
     best: int | float = math.inf
-    for src in range(n):
+    for src in sources:
         dist = [-1] * n
         parent = [-1] * n
         dist[src] = 0

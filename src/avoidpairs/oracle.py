@@ -10,10 +10,10 @@ from collections.abc import Iterator
 from itertools import combinations
 
 from .canon import canonical_rows, orbit, root_partition
-from .criterion import PairMF
+from .criterion import PairMF, Realizable, clique_forest_realizable
 from .errors import DomainError, GuardError
 from .exactarith import binom2
-from .graphs import Graph, girth, rows_of, to_graph6
+from .graphs import Graph, clique_plus_star, girth, rows_of, to_graph6
 from .records import Record
 
 QUERY_GUARD = 10          # single (n, e) enumeration
@@ -276,38 +276,49 @@ def compute_S_n(n: int, pair: PairMF) -> ArrowReport:
 # Explicit clique-plus-forest oracle (independent of the floor criterion)
 
 
-def clique_forest_oracle(pair: PairMF) -> bool:
-    """True iff some explicit clique-plus-forest graph realizes the pair.
-
-    Enumerates every clique size x and builds an actual star forest with the
-    remaining edge budget, verifying acyclicity and the total count on the
-    constructed graph.  Deliberately shares no code with the floor bounds."""
-    m, f = pair.m, pair.f
+def _refuse_explicit(m: int) -> None:
+    """The explicit oracle's refusal of pairs above ORACLE_MAX_M vertices."""
     if m > ORACLE_MAX_M:
         raise GuardError(
             f"explicit oracle is exponential-free but still guarded to m <= {ORACLE_MAX_M}; "
             f"got m={m} (use the criterion module beyond)"
         )
+
+
+def clique_forest_oracle(pair: PairMF) -> bool:
+    """True iff some explicit clique-plus-forest graph realizes the pair.
+
+    Every clique size x gets graphs.clique_plus_star, the witness builder's
+    constructor, with the rest of the budget as its star; the graph's count
+    and acyclicity are checked.  It shares no code with the floor bounds."""
+    m, f = pair.m, pair.f
+    _refuse_explicit(m)
     for x in range(m + 1):
         clique_edges = binom2(x)
         if clique_edges > f:
             break
-        rest = m - x
-        extra = f - clique_edges
-        if rest == 0:
-            if extra == 0:
-                return True
+        g = clique_plus_star(m, x, f - clique_edges)
+        if g is None:
             continue
-        if extra > rest - 1:
-            continue
-        g = Graph(m)
-        for u in range(x):
-            for v in range(u + 1, x):
-                g.add_edge(u, v)
-        for i in range(extra):
-            g.add_edge(x, x + 1 + i)
-        forest_part = Graph(rest, [r >> x for r in g.rows[x:]])
-        if g.edge_count() == f and girth(forest_part) == math.inf:
+        if g.edge_count() == f and girth(g, range(x, m)) == math.inf:
             return True
         raise AssertionError(f"oracle construction failed for m={m}, f={f}, x={x}")
     return False
+
+
+def xcheck_clique_forest(max_m: int) -> tuple[int, list[dict]]:
+    """(pairs checked, mismatches) of clique_forest_oracle against the floor
+    decision, criterion.clique_forest_realizable, over every pair with
+    m <= max_m; a max_m above ORACLE_MAX_M is refused before any pair."""
+    _refuse_explicit(max_m)
+    mismatches = []
+    checked = 0
+    for m in range(1, max_m + 1):
+        for f in range(binom2(m) + 1):
+            pair = PairMF(m, f)
+            search = isinstance(clique_forest_realizable(pair), Realizable)
+            brute = clique_forest_oracle(pair)
+            checked += 1
+            if search != brute:
+                mismatches.append({"m": m, "f": f, "search": search, "oracle": brute})
+    return checked, mismatches

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .criterion import Impossible, PairMF, clique_forest_realizable
 from .errors import DomainError, GuardError
 from .exactarith import binom2, surd_floor
-from .graphs import Graph, girth, induced_subgraph
+from .graphs import Graph, clique_plus_star, girth
 from .records import Record
 
 BUILD_GUARD = 2000  # n; the graph, its graph6 and its CLI record grow as binom2(n)
@@ -67,31 +67,28 @@ def _edge_total(n: int, e: int) -> int:
 
 
 def build_witness(n: int, e: int, p: int) -> WitnessGraph | Infeasible:
-    """K_k on vertices 0..k-1, with k the R floor (binom2(k) <= e <
-    binom2(k+1); k = 0 for e = 0), plus a star at vertex k with leaves
-    k+1, ..., k+extra, where extra = e - binom2(k).  The girth part is a
-    forest, so its girth is above every bound p >= 3.
+    """graphs.clique_plus_star(n, k, extra): K_k on vertices 0..k-1, with k
+    the R floor (binom2(k) <= e < binom2(k+1); k = 0 for e = 0), plus a star
+    at vertex k with leaves k+1, ..., k+extra, where extra = e - binom2(k).
+    The girth part is a forest, so its girth is above every bound p >= 3.
 
-    When extra > max(n - k - 1, 0) the result is Infeasible with
-    placed = n - k - 1: a star that spans the girth part leaves every two
-    of its vertices at distance <= 2, so no further edge avoids a triangle."""
+    When the star does not fit the result is Infeasible with placed =
+    max(n - k - 1, 0): a star that spans the girth part leaves every two of
+    its vertices at distance <= 2, so no further edge avoids a triangle."""
     _edge_total(n, e)
     if p < 3:
         raise DomainError(f"girth bound must be >= 3, got {p}")
     k = surd_floor(1, 8 * e + 1) if e else 0
     extra = e - binom2(k)
-    placed = max(n - k - 1, 0)
-    if extra > placed:
+    g = clique_plus_star(n, k, extra)
+    if g is None:
+        placed = max(n - k - 1, 0)
         # the wording predates this construction; the golden witness hashes pin it
         return Infeasible(
             n=n, e=e, p=p, k=k, placed=placed, missing=extra - placed,
             reason=f"greedy insertion placed {placed} of {extra} extra edges on "
                    f"{n - k} vertices without closing a cycle of length <= {p}",
         )
-    clique = (1 << k) - 1
-    g = Graph(n, [clique ^ (1 << v) if v < k else 0 for v in range(n)])
-    for v in range(k + 1, k + 1 + extra):
-        g.add_edge(k, v)
     return WitnessGraph(
         graph=g,
         clique_vertices=frozenset(range(k)),
@@ -142,7 +139,7 @@ def verify_witness(w: WitnessGraph, pair: PairMF) -> WitnessVerdict:
         failures.append("clique-complete")
     if any(s.rows[v] & rest_mask for v in clique):
         failures.append("cross-edges")
-    if not girth(induced_subgraph(s, rest)) > max(w.girth_bound, pair.m):
+    if not girth(s, rest) > max(w.girth_bound, pair.m):
         failures.append("girth")
     target = pair.complement() if w.complemented else pair
     if not isinstance(clique_forest_realizable(target), Impossible):

@@ -99,6 +99,24 @@ def from_graph6_per_bit(text: str) -> Graph:
     return g
 
 
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """Reference for graphs.girth's part: the subgraph of g induced on
+    `vertices`, relabelled 0.. in sorted order."""
+    order = sorted(vertices)
+    index = {v: i for i, v in enumerate(order)}
+    mask = sum(1 << v for v in order)
+    rows = []
+    for v in order:
+        r = g.rows[v] & mask
+        row = 0
+        while r:
+            b = r & -r
+            row |= 1 << index[b.bit_length() - 1]
+            r ^= b
+        rows.append(row)
+    return Graph(len(order), rows)
+
+
 def canonical_graph(g: Graph) -> Graph:
     return Graph(g.n, rows_of(canonical_rows(tuple(g.rows), g.n)[0], g.n))
 
@@ -406,3 +424,57 @@ def classes_by_set_dedup(n: int, e_lo: int, e_hi: int) -> tuple[int, ...]:
                 nxt.add(canonical_rows(child, k + 1)[0])
         level = nxt
     return tuple(sorted(level))
+
+
+class Poly:
+    """A polynomial in x and y with integer coefficients, {(i, j): c} for
+    the terms c * x^i * y^j; enough arithmetic to state identities."""
+
+    def __init__(self, terms: dict):
+        self.terms = {key: c for key, c in terms.items() if c}
+
+    @staticmethod
+    def of(value) -> "Poly":
+        return value if isinstance(value, Poly) else Poly({(0, 0): value})
+
+    def __add__(self, other) -> "Poly":
+        terms = dict(self.terms)
+        for key, c in Poly.of(other).terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return Poly(terms)
+
+    def __mul__(self, other) -> "Poly":
+        terms: dict = {}
+        for (i, j), c in self.terms.items():
+            for (k, l), d in Poly.of(other).terms.items():
+                terms[i + k, j + l] = terms.get((i + k, j + l), 0) + c * d
+        return Poly(terms)
+
+    def __neg__(self) -> "Poly":
+        return self * -1
+
+    def __sub__(self, other) -> "Poly":
+        return self + -Poly.of(other)
+
+    def __pow__(self, k: int) -> "Poly":
+        return functools.reduce(Poly.__mul__, [self] * k, Poly.of(1))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return self.terms == Poly.of(other).terms
+
+    def __call__(self, x: int, y: int) -> int:
+        return sum(c * x**i * y**j for (i, j), c in self.terms.items())
+
+
+X, Y = Poly({(1, 0): 1}), Poly({(0, 1): 1})
+
+
+def mod_pell(p: Poly) -> Poly:
+    """p modulo x^2 - 2y^2 - 7: every x^2 becomes 2y^2 + 7, which leaves
+    each term of degree at most 1 in x.  Over Z[y], 1 and x are a basis of
+    Z[x, y] / (x^2 - 2y^2 - 7), so p is 0 under x^2 - 2y^2 = 7 exactly when
+    mod_pell(p) == 0."""
+    return sum((c * X ** (i % 2) * Y**j * (2 * Y**2 + 7) ** (i // 2)
+                for (i, j), c in p.terms.items()), Poly({}))

@@ -27,6 +27,9 @@ from avoidpairs.cli import (
     dump_json,
     main,
 )
+from avoidpairs.exactarith import binom2
+from avoidpairs.graphs import from_graph6
+from avoidpairs.oracle import ORACLE_MAX_M
 from avoidpairs.pell import COUNT_GUARD
 from helpers import offset_disjunction_records, scan_interval_record
 from test_golden_stdout import GOLDEN, GOLDEN_STDERR, WITNESS_G6
@@ -275,6 +278,30 @@ def test_scan_interval_streams_in_flat_memory(monkeypatch):
     assert stdout.sha256.hexdigest() == GOLDEN_DIGEST[tuple(argv)]
 
 
+def test_witness_build_streams_its_record_in_flat_memory(monkeypatch, capsys):
+    # the complement of K_34 plus a 9-leaf star on 600 vertices: the dense
+    # record is about 0.7 MB of adjacency
+    n = 600
+    argv = ["witness", "build", "--n", str(n), "--e", str(binom2(n) - 570), "--p", "5",
+            "--pair", "40,390"]
+    run_counted(monkeypatch, [*argv[:5], "0", *argv[6:]])  # loads the modules it runs
+    tracemalloc.start()
+    try:
+        stdout = run_counted(monkeypatch, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 14.7 MB when the record held the adjacency lists; 1.4 MB streamed
+    assert peak < 4 << 20
+    assert stdout.lines == 1 and stdout.writes <= math.ceil((n + 2) / BLOCK_LINES)
+    code, out, _ = run_cli(capsys, *argv)
+    rec = json.loads(out)
+    assert out == dump_json(rec) + "\n" and rec["complemented"]
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout.sha256.hexdigest()
+    g = from_graph6(rec["graph6"])
+    assert rec["adjacency"] == [[u for u in range(n) if g.rows[v] >> u & 1] for v in range(n)]
+
+
 def test_scan_interval_above_the_row_guard_is_refused_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "criterion", "scan-interval", "--m", "100000000")
@@ -482,6 +509,15 @@ def test_oracle_commands(capsys):
     code, out, _ = run_cli(capsys, "oracle", "xcheck-cf", "--max-m", "8")
     rec = json_lines(out)[0]
     assert code == EXIT_OK and rec["mismatches"] == []
+
+
+def test_xcheck_cf_refuses_above_the_oracle_bound_before_any_pair(capsys, monkeypatch):
+    decided = []
+    monkeypatch.setattr(cli.oracle, "clique_forest_oracle", decided.append)
+    code, out, err = run_cli(capsys, "oracle", "xcheck-cf", "--max-m", str(ORACLE_MAX_M + 1))
+    assert (code, out, decided) == (EXIT_GUARD, "", [])
+    assert json.loads(err)["error"].startswith(
+        f"explicit oracle is exponential-free but still guarded to m <= {ORACLE_MAX_M}; ")
 
 
 def test_query_above_the_labelling_limit_is_a_guard_refusal(capsys):

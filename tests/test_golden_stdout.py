@@ -16,7 +16,10 @@ empty interval (m = 2) and an all_pass one (m = 19022), and its two refusals
 were recorded before scan-interval streamed its one JSON line.  The witness
 build refusal (exit 3) names a build the size guard refuses before any work,
 and so do the pell and stride-4 diag equidist refusals at one above their
-guards.
+guards.  The complemented n = 70 witness build, the first golden above n = 62,
+and the refusals of the oracle, --on-m equidist and scan-interval guards were
+recorded before the witness builder and the explicit oracle shared one
+clique-plus-star constructor and the build record was streamed.
 A refactor that changes a byte of output fails here.
 
 Regenerate a hash only for a deliberate output change, by running the argv
@@ -24,10 +27,12 @@ through ``avoidpairs.cli.main`` and taking the sha256 of stdout.
 """
 
 import hashlib
+import re
 
 import pytest
 
-from avoidpairs.cli import main
+from avoidpairs import criterion, equidist, oracle, pell, witness
+from avoidpairs.cli import COMMANDS, main
 
 # a clique K_5 plus a girth > 6 part: `witness build --n 20 --e 12 --p 6`
 WITNESS_G6 = "S~{?GG???????????????????????????"
@@ -125,6 +130,8 @@ GOLDEN = [
      'ba14190b236aa5549c3647c1575b93358e5bb0483471d50ffea32b09b8492a4c'),
     (['criterion', 'scan-interval', '--m', '19022'], 0,
      '6a8087087e7a583098a9604bf660d761f37204fba5fb9470cccf575d345a3f7f'),
+    (['witness', 'build', '--n', '70', '--e', '2000', '--p', '5', '--pair', '40,390'], 0,
+     'a2486aba0b49d43c7df7d116590ca3f5df064a15d0b94af44485108f4cc96396'),
 ]
 
 GOLDEN_STDERR = [
@@ -145,6 +152,17 @@ GOLDEN_REFUSALS = [
      '{"error":"pell guard: count=2001 exceeds 2000","kind":"guard"}\n'),
     (['diag', 'equidist', '--q', '0', '--n', '1000001', '--bins', '10'], 3,
      '{"error":"equidist guard: 1000001 stride-4 terms exceed 1000000","kind":"guard"}\n'),
+    (['oracle', 'sn', '--n', '10', '--m', '4', '--f', '3'], 3,
+     '{"error":"S_n sweep guard: n=10 exceeds 9","kind":"guard"}\n'),
+    (['oracle', 'arrows', '--n', '11', '--e', '5', '--m', '4', '--f', '3'], 3,
+     '{"error":"enumeration guard: n=11 exceeds 10","kind":"guard"}\n'),
+    (['oracle', 'xcheck-cf', '--max-m', '13'], 3,
+     '{"error":"explicit oracle is exponential-free but still guarded to m <= 12; '
+     'got m=13 (use the criterion module beyond)","kind":"guard"}\n'),
+    (['diag', 'equidist', '--q', '0', '--n', '10001', '--bins', '10', '--on-m'], 3,
+     '{"error":"equidist guard: 10001 members of M exceed 10000","kind":"guard"}\n'),
+    (['criterion', 'scan-interval', '--m', '3000000'], 3,
+     '{"error":"scan_interval guard: 1049999 rows at m=3000000 exceed 1000000","kind":"guard"}\n'),
 ]
 
 
@@ -175,3 +193,39 @@ def test_stderr_matches_golden_hash(capsys, argv, code, digest):
 def test_refusal_matches_golden(capsys, argv, code, err):
     assert main(argv) == code
     assert capsys.readouterr() == ("", err)
+
+
+# Each leaf of cli.COMMANDS, by (group, leaf): the guard constants that
+# refuse work in proportion to its cost, each with a GOLDEN_REFUSALS entry
+# above it, or why the leaf needs none.
+GUARDS = {
+    ("pell", None): [pell.COUNT_GUARD],
+    ("criterion", "eval"): "bounded by its input: one (m, q)",
+    ("criterion", "cert"): "bounded by its input: one pair",
+    ("criterion", "scan-t4"): "streaming: one line per m, in flat memory",
+    ("criterion", "scan-t2"): "streaming: one line per m, in flat memory",
+    ("criterion", "scan-interval"): [criterion.INTERVAL_ROW_GUARD],
+    ("criterion", "scan-mod23"): "streaming: one line per m, in flat memory",
+    ("witness", "build"): [witness.BUILD_GUARD],
+    ("witness", "verify"): "bounded by its input: the graph6 file it reads",
+    ("oracle", "arrows"): [oracle.QUERY_GUARD],
+    ("oracle", "sn"): [oracle.SWEEP_GUARD],
+    ("oracle", "xcheck-cf"): [oracle.ORACLE_MAX_M],
+    ("bipartite", "realize"): "bounded by its input: one pair, O(m) forest edges",
+    ("diag", "equidist"): [equidist.SAMPLE_GUARD, equidist.M_SAMPLE_GUARD],
+}
+
+
+def test_every_leaf_names_its_guards_or_why_it_has_none():
+    leaves = {(group, leaf) for group, (_, table) in COMMANDS.items() for leaf in table}
+    assert set(GUARDS) == leaves
+    for (group, leaf), guards in GUARDS.items():
+        if isinstance(guards, str):
+            assert guards.split(":")[0] in ("streaming", "bounded by its input"), guards
+            continue
+        argv = [group] if leaf is None else [group, leaf]
+        refusals = [err for cmd, code, err in GOLDEN_REFUSALS
+                    if cmd[:len(argv)] == argv and code == 3]
+        for guard in guards:
+            # the refusal one above the guard names it, before any work
+            assert any(re.search(rf"(?<!\d){guard}(?!\d)", err) for err in refusals), (argv, guard)

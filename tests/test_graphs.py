@@ -1,4 +1,5 @@
-"""Graph representation, graph6 codec, and girth."""
+"""Graph representation, the clique-plus-star construction, graph6 codec,
+and girth."""
 
 import math
 import random
@@ -8,8 +9,9 @@ import pytest
 
 from avoidpairs.errors import DomainError
 from avoidpairs.exactarith import binom2
-from avoidpairs.graphs import Graph, from_graph6, girth, to_graph6
+from avoidpairs.graphs import Graph, clique_plus_star, from_graph6, girth, to_graph6
 from avoidpairs.witness import build_witness
+from helpers import induced_subgraph
 
 
 def _random_graph(rng, n, p=0.4):
@@ -143,6 +145,7 @@ def test_girth_examples():
     assert girth(tree) == math.inf
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert girth(c5) == 5
+    assert girth(c5, range(5)) == 5 and girth(c5, [0, 1, 2, 3]) == girth(c5, []) == math.inf
     chorded = Graph(c5.n, c5.rows)
     chorded.add_edge(1, 3)
     assert girth(chorded) == 3
@@ -158,7 +161,23 @@ def test_girth_examples():
 
 
 def test_girth_against_brute_force():
-    rng = random.Random(9)
+    rng, part_rng = random.Random(9), random.Random(10)
     for _ in range(300):
         g = _random_graph(rng, rng.randrange(1, 9), p=rng.choice([0.15, 0.3, 0.5]))
         assert girth(g) == _girth_brute(g)
+        part = [v for v in range(g.n) if part_rng.random() < 0.6]
+        assert girth(g, part) == _girth_brute(induced_subgraph(g, part))
+
+
+def test_clique_plus_star_against_an_edge_by_edge_reference():
+    for n in range(13):
+        for k in range(n + 1):
+            for extra in range(n + 1):
+                built = clique_plus_star(n, k, extra)
+                if extra > max(n - k - 1, 0):
+                    assert built is None, (n, k, extra)
+                    continue
+                clique = [(u, v) for v in range(k) for u in range(v)]
+                star = [(k, v) for v in range(k + 1, k + 1 + extra)]
+                assert built == Graph.from_edges(n, clique + star), (n, k, extra)
+                assert girth(built, range(k, n)) == math.inf

@@ -4,7 +4,13 @@ import itertools
 
 import pytest
 
-from avoidpairs.criterion import AvoidabilityCert, Impossible, PairMF, avoidability_certificate
+from avoidpairs.criterion import (
+    AvoidabilityCert,
+    Impossible,
+    PairMF,
+    avoidability_certificate,
+    radicands,
+)
 from avoidpairs.errors import DomainError
 from avoidpairs.pell import (
     PellState,
@@ -15,6 +21,7 @@ from avoidpairs.pell import (
     pell_states,
     verify_pell_state,
 )
+from helpers import X, Y, mod_pell
 
 
 def test_initial_state():
@@ -91,3 +98,60 @@ def test_membership():
     assert isinstance(cert, AvoidabilityCert)
     assert cert.cert_direct == cert.cert_complement == Impossible(L=7, R=6)
     assert not isinstance(avoidability_certificate(PairMF(4, 3)), AvoidabilityCert)
+
+
+# Every member of M by one integer argument.  With x^2 - 2y^2 = 7, x and y
+# odd and m = (x + 5)/2, write 2m = x + 5.  The radicands at q = 0, times 4
+# so that the coefficients stay integers:
+TWO_M = X + 5
+DY4 = 2 * TWO_M**2 - 20 * TWO_M + 36  # 4 * (2m^2 - 10m + 9)
+DZ4 = 2 * TWO_M**2 - 4 * TWO_M + 4    # 4 * (2m^2 - 2m + 1)
+
+
+def test_radicand_polynomials_are_the_criterions():
+    for m in range(5, 60):
+        assert [4 * d for d in radicands(m, 0)] == [DY4(2 * m - 5, 0), DZ4(2 * m - 5, 0)]
+
+
+def test_the_half_size_certificate_as_polynomial_identities():
+    # Dy = y^2, so L = floor((5 + y)/2) = (y + 5)/2 exactly, y being odd
+    assert mod_pell(DY4 - 4 * Y**2) == 0
+    # Dz = Dy + 8(m - 1) = y^2 + 4x + 12
+    assert mod_pell(DZ4 - 4 * (Y**2 + 4 * X + 12)) == 0
+    # R = floor((1 + sqrt(Dz))/2) < L iff sqrt(Dz) < y + 4 iff Dz < (y + 4)^2,
+    # and (y + 4)^2 - Dz = 4(2y + 1 - x): so L > R iff x < 2y + 1
+    assert mod_pell(4 * (Y + 4) ** 2 - DZ4 - 16 * (2 * Y + 1 - X)) == 0
+    # (2y + 1)^2 - x^2 = 2y^2 + 4y - 6 = 2(y - 1)(y + 3) > 0 for y > 1, and
+    # x, 2y + 1 > 0, so x < 2y + 1 at every state past the seed (y = 1)
+    assert mod_pell((2 * Y + 1) ** 2 - X**2 - (2 * Y**2 + 4 * Y - 6)) == 0
+    assert 2 * Y**2 + 4 * Y - 6 == 2 * (Y - 1) * (Y + 3)
+    # the pair is its own complement: binom2(m) - m(m-1)/4 = m(m-1)/4
+
+
+def test_the_recursion_mod_8_is_a_two_cycle():
+    # pell_next is (x, y) -> (3x + 4y, 2x + 3y); modulo 8 from the seed
+    # (3, 1) it never leaves {3, 5} x odd, with x alternating, so
+    # m = (x + 5)/2 alternates 0, 1 (mod 4) and m(m - 1)/4 is an integer
+    state, seen = (3, 1), []
+    while state not in seen:
+        seen.append(state)
+        x, y = state
+        state = ((3 * x + 4 * y) % 8, (2 * x + 3 * y) % 8)
+    assert state == seen[0]
+    assert [x for x, _ in seen] == [3, 5] * (len(seen) // 2)
+    assert all(y % 2 for _, y in seen)
+    assert [(x + 5) // 2 % 4 for x, _ in seen[:2]] == [0, 1]
+    for st in itertools.islice(pell_states(), 40):
+        nxt = pell_next(st)
+        assert (nxt.x, nxt.y) == (3 * st.x + 4 * st.y, 2 * st.x + 3 * st.y)
+        assert (st.x % 8, st.y % 8) == seen[st.s % len(seen)]
+
+
+def test_the_lemma_agrees_with_the_certificate_on_30_states():
+    for st in itertools.islice(pell_states(), 1, 31):
+        m = st.m
+        assert m * (m - 1) % 4 == 0 and st.x < 2 * st.y + 1
+        cert = avoidability_certificate(PairMF(m, m * (m - 1) // 4))
+        assert isinstance(cert, AvoidabilityCert), st.s
+        assert cert.cert_direct == cert.cert_complement
+        assert cert.cert_direct.L == (st.y + 5) // 2 > cert.cert_direct.R

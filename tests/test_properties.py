@@ -1,9 +1,11 @@
 """Property tests: the surd floor against integer bisection, the floor
 decision against the linear reference, the scan-t4 and scan-interval line
-formats against the JSON encoder, graph6 against its per-bit reference in
-both directions, refusals included, canonical labelling under relabelling
-and the automorphisms it records, and the arrowing decision against the
-full induced-size set, over inputs drawn by hypothesis."""
+formats and the witness record's adjacency items against the JSON encoder,
+graph6 against its per-bit reference in both directions, refusals included,
+canonical labelling under relabelling and the automorphisms it records, the
+girth of a part against the girth of its induced subgraph, and the arrowing
+decision against the full induced-size set, over inputs drawn by
+hypothesis."""
 
 import contextlib
 import io
@@ -14,7 +16,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from avoidpairs.canon import canonical_rows, orbit
-from avoidpairs.cli import dump_json, main
+from avoidpairs.cli import _adjacency_items, dump_json, main
 from avoidpairs.criterion import (
     PairMF,
     Realizable,
@@ -23,11 +25,12 @@ from avoidpairs.criterion import (
 )
 from avoidpairs.errors import DomainError
 from avoidpairs.exactarith import binom2, surd_floor
-from avoidpairs.graphs import Graph, from_graph6, rows_of, to_graph6
+from avoidpairs.graphs import Graph, from_graph6, girth, rows_of, to_graph6
 from avoidpairs.oracle import arrows
 from helpers import (
     from_graph6_per_bit,
     induced_size_set,
+    induced_subgraph,
     interval_bounds_fraction,
     offset_disjunction_records,
     scan_interval_record,
@@ -217,3 +220,21 @@ def test_arrows_matches_the_induced_size_set(g, data):
     m = data.draw(st.integers(1, g.n + 2))
     f = data.draw(st.integers(0, binom2(m)))
     assert arrows(g, PairMF(m, f)) == (m <= g.n and f in induced_size_set(g, m))
+
+
+@given(small_graphs(max_n=14), st.data())
+@settings(max_examples=300, deadline=None)
+def test_girth_of_a_part_is_the_girth_of_its_induced_subgraph(g, data):
+    part = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert girth(g, part) == girth(induced_subgraph(g, part))
+
+
+@given(st.integers(0, 70), st.floats(0, 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_adjacency_items_match_dump_json(n, density, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(
+        n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
+    )
+    adjacency = [[u for u in range(n) if g.rows[v] >> u & 1] for v in range(n)]
+    assert "".join(_adjacency_items(g)) == dump_json(adjacency)[1:-1]

@@ -107,6 +107,23 @@ def test_criterion_cert_executes_only_criterion_and_its_imports():
     assert executed & (untouched | {"typing"}) == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ["pell", "--count", "1"],
+    ["bipartite", "realize", "--m", "3", "--f", "4", "--json"],
+    ["bipartite", "realize", "--m", "5", "--f", "20", "--complement"],
+], ids=" ".join)
+def test_pell_and_bipartite_execute_neither_exactarith_nor_criterion(argv):
+    # the --fracbits default is read only by the commands that use it
+    executed = executed_modules(
+        "import contextlib, io\n"
+        "from avoidpairs.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    assert f"avoidpairs.{argv[0]}" in executed
+    assert executed & {"avoidpairs.exactarith", "avoidpairs.criterion"} == set()
+
+
 def test_witness_build_executes_neither_oracle_nor_canon(tmp_path):
     # graph6 and its bit layout belong to graphs: neither writing nor
     # reading a witness reaches the canonical labelling

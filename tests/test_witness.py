@@ -18,6 +18,7 @@ from avoidpairs.witness import (
     build_witness_or_complement,
     verify_witness,
 )
+from helpers import induced_subgraph
 
 
 def test_clique_size_rule():
@@ -150,13 +151,8 @@ def test_verify_witness_pass_and_failures():
     assert isinstance(short, WitnessGraph)
     # (5,5) needs girth above 5; a p=5 witness with an actual short cycle would
     # fail, but the builder only ever places a star, so girth is inf
-    part = sorted(short.girth_part)
-    sub = Graph(len(part))
-    for i, u in enumerate(part):
-        for j in range(i + 1, len(part)):
-            if short.graph.rows[u] >> part[j] & 1:
-                sub.add_edge(i, j)
-    assert girth(sub) == math.inf
+    assert girth(short.graph, short.girth_part) == math.inf
+    assert girth(induced_subgraph(short.graph, short.girth_part)) == math.inf
 
 
 def test_verify_witness_flags_broken_partition_and_clique():
