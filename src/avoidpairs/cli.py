@@ -286,10 +286,9 @@ def cmd_criterion_scan_mod23(args):
 # witness
 
 
-def _witness_record(w: witness.WitnessGraph) -> dict:
+def _witness_record(w: witness.WitnessGraph, part_girth) -> dict:
     """The witness build record without "adjacency", its first key, which
     _adjacency_items writes row by row."""
-    part_girth = graphs.girth(w.structure_graph(), w.girth_part)
     return {
         "n": w.graph.n,
         "e": w.graph.edge_count(),
@@ -318,9 +317,11 @@ def cmd_witness_build(args):
     if isinstance(built, witness.Infeasible):
         yield json_line({"infeasible": True, **built._asdict()})
         raise InfeasibleError(built.reason)
-    record = _witness_record(built)
-    if pair is not None:
-        verdict = witness.verify_witness(built, pair)
+    # the verdict has measured the part's girth; without one, measure it here
+    verdict = pair and witness.verify_witness(built, pair)
+    record = _witness_record(built, verdict.part_girth if pair else
+                             graphs.girth(built.structure_graph(), built.girth_part))
+    if pair:
         record["pair"] = pair._asdict()
         record["verify"] = {"passed": verdict.passed, "failures": list(verdict.failures)}
     if args.graph6 is not None:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import combinations
 
 from .canon import canonical_rows, orbit, root_partition
 from .criterion import PairMF, Realizable, clique_forest_realizable
@@ -25,14 +24,16 @@ SUBSET_GUARD = 10**8      # comb(n, m) bounds the leaves of one subset search
 def _completions(rows: tuple[int, ...], m: int, f: int, cap: int) -> list[tuple[int, int]]:
     """(T, f - e(T)) for each (m-1)-subset T of the graph's vertices, as a
     mask, with 0 <= f - e(T) <= cap: a new vertex joined to exactly
-    f - e(T) vertices of T makes T and itself induce f edges."""
-    found = []
-    for subset in combinations(range(len(rows)), m - 1):
-        t = sum(1 << v for v in subset)
-        need = f - sum((rows[v] & t).bit_count() for v in subset) // 2
-        if 0 <= need <= cap:
-            found.append((t, need))
-    return found
+    f - e(T) vertices of T makes T and itself induce f edges.  Subsets grow
+    one vertex at a time in increasing order, each step adding the edges to
+    the vertices already in; e(T) never falls, so a subset past f edges is
+    dropped at once."""
+    level = [(0, 0, 0)]  # (T so far, e(T), first vertex it may take)
+    for left in range(m - 1, 0, -1):
+        level = [(t | 1 << v, grown, v + 1) for t, e, start in level
+                 for v in range(start, len(rows) - left + 1)
+                 if (grown := e + (rows[v] & t).bit_count()) <= f]
+    return [(t, f - e) for t, e, _ in level if f - e <= cap]
 
 
 def _classes(
@@ -216,23 +217,71 @@ class ArrowVerdict(Record):
     counterexample: Graph | None
 
 
+def _meet_counts(sets: list[int], full: int, top: int) -> list[int]:
+    """Entry j, for j <= top: the columns (bit c of ``full`` for column c)
+    that lie in exactly j of the column sets ``sets``, by one pass per set
+    that moves each of its columns up one count."""
+    counts = [full] + [0] * top
+    for cols in sets:
+        for j in range(top, 0, -1):
+            counts[j] = counts[j] & ~cols | counts[j - 1] & cols
+        counts[0] &= ~cols
+    return counts
+
+
 def _least_failures(n: int, e_lo: int, e_hi: int, pair: PairMF) -> dict[int, Graph]:
-    """By e in increasing order, the class that fails to arrow the pair with
-    the least canonical code (graph6 order).  _classes yields only the
-    classes that fail, and a code has one bit per edge."""
+    """By e in increasing order, the graph6-least graph on n vertices with e
+    edges that fails to arrow the pair and whose first n - 1 vertices induce
+    a canonical form: a code c yielded by _classes(n - 1, ...).  The least
+    failing canonical form would need every failing class labelled, since a
+    canonical code is the least over the leaves the refined search reaches,
+    not over all labellings.
+
+    The last level labels nothing.  The failing classes on n - 1 vertices
+    with max(e_lo - (n - 1), 0) to min(e_hi, binom2(n - 1)) edges are
+    streamed as parents.  A child, a parent plus a new vertex with column
+    col (code_of's last column, top bit the edge to vertex 0), has code
+    c << (n - 1) | col and e(c) + |col| edges.  It fails iff no m-subset
+    through the new vertex induces f edges, so the parent's _completions
+    (T, need) forbid exactly the columns that meet T in need vertices.
+    Those column sets, and the columns of each weight, are bitsets over
+    the 2^(n-1) columns (_meet_counts); the lowest allowed column of
+    weight e - e(c) is the parent's candidate for e, and the least
+    candidate wins.  At n = 1 the one parent is the graph on no vertices,
+    which fails every pair."""
+    k, m, f = n - 1, pair.m, pair.f
+    parents = _classes(k, max(e_lo - k, 0), min(e_hi, binom2(k)), pair) if k else (0,)
+    full = (1 << (1 << k)) - 1
+    # the columns that hold vertex v (bit k - 1 - v) come in runs of
+    # r = 2^(k-1-v) at period 2r: one run's mask times a 1 at every period
+    runs = [1 << k - 1 - v for v in range(k)]
+    has = [full // ((1 << 2 * r) - 1) * ((1 << r) - 1 << r) for r in runs]
+    weights = _meet_counts(has, full, k)
+    meeting: dict[tuple[int, int], int] = {}  # (T, need) -> its columns, for every parent
     least: dict[int, int] = {}
-    for code in _classes(n, e_lo, e_hi, pair):
-        e = code.bit_count()
-        if e not in least or code < least[e]:
-            least[e] = code
+    for code in parents:
+        e_parent = code.bit_count()
+        allowed = full
+        for t, need in _completions(rows_of(code, k), m, f, min(m - 1, e_hi - e_parent)):
+            if (t, need) not in meeting:
+                sets = [has[v] for v in range(k) if t >> v & 1]
+                meeting[t, need] = _meet_counts(sets, full, need)[need]
+            allowed &= ~meeting[t, need]
+        for e in range(max(e_lo, e_parent), min(e_hi, e_parent + k) + 1):
+            fits = allowed & weights[e - e_parent]
+            if fits:
+                child = code << k | (fits & -fits).bit_length() - 1
+                if child < least.get(e, child + 1):
+                    least[e] = child
     return {e: Graph(n, rows_of(code, n)) for e, code in sorted(least.items())}
 
 
 def arrows_pair(n: int, e: int, pair: PairMF) -> ArrowVerdict:
     """Does every graph with n vertices and e edges arrow the pair?
 
-    A returned counterexample is the failure with the least canonical code
-    (graph6 order).
+    A returned counterexample is _least_failures' graph: the graph6-least
+    failure whose first n - 1 vertices induce a canonical form (not, in
+    general, the least failing canonical form).
     """
     _refuse_pair(n, pair)
     _refuse_query(n, e)
@@ -242,7 +291,8 @@ def arrows_pair(n: int, e: int, pair: PairMF) -> ArrowVerdict:
 
 class ArrowReport(Record):
     """S_n for one pair: which e force the pair, one non-arrowing graph for the
-    rest, and the fixed-n fraction |S| / (binom2(n)+1).
+    rest (in graph6, the graph6-least failure whose first n - 1 vertices
+    induce a canonical form), and the fixed-n fraction |S| / (binom2(n)+1).
 
     The fraction is an observation at this n only; it is not the limiting
     density, whose bias at small n is unknown.  Nor does an empty S at one n
@@ -259,8 +309,9 @@ class ArrowReport(Record):
 def compute_S_n(n: int, pair: PairMF) -> ArrowReport:
     """Full report over e in [0, binom2(n)], refused above n = SWEEP_GUARD.
 
-    One stream over every class on n vertices decides the classes, and each
-    e not in S gets its least canonical counterexample.
+    One stream over the failing classes on n - 1 vertices decides every
+    e, with no labelling on n vertices (_least_failures), and each e not in
+    S gets the least failure over those parents' columns.
     """
     _refuse_pair(n, pair)
     if n > SWEEP_GUARD:

@@ -50,8 +50,12 @@ class Infeasible(Record):
 
 
 class WitnessVerdict(Record):
+    """The checks' outcome, and the girth of the girth part in the
+    structure graph (math.inf for a forest), which the build record shows."""
+
     passed: bool
     failures: tuple[str, ...]
+    part_girth: int | float
 
 
 def _edge_total(n: int, e: int) -> int:
@@ -139,10 +143,11 @@ def verify_witness(w: WitnessGraph, pair: PairMF) -> WitnessVerdict:
         failures.append("clique-complete")
     if any(s.rows[v] & rest_mask for v in clique):
         failures.append("cross-edges")
-    if not girth(s, rest) > max(w.girth_bound, pair.m):
+    part_girth = girth(s, rest)
+    if not part_girth > max(w.girth_bound, pair.m):
         failures.append("girth")
     target = pair.complement() if w.complemented else pair
     if not isinstance(clique_forest_realizable(target), Impossible):
         failures.append("realizable")
-    return WitnessVerdict(passed=not failures, failures=tuple(failures))
+    return WitnessVerdict(passed=not failures, failures=tuple(failures), part_girth=part_girth)
 

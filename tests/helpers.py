@@ -378,6 +378,27 @@ def least_failures_reference(n: int, pair: PairMF) -> dict[int, Graph]:
     return dict(sorted(least.items()))
 
 
+def least_extension_reference(n: int, pair: PairMF, e_lo: int = 0,
+                              e_hi: int | None = None) -> dict[int, Graph]:
+    """Reference for oracle._least_failures: for each e in [e_lo, e_hi]
+    (every e by default) with a failure, the least code c << (n - 1) | col
+    over the failing classes c on n - 1 vertices and every column col whose
+    child does not arrow the pair by oracle.arrows, by increasing e.  Parents
+    and columns are taken in increasing order, so the first failure at an e
+    is its least.  The one graph on no vertices fails every pair."""
+    k = n - 1
+    e_hi = binom2(n) if e_hi is None else e_hi
+    least: dict[int, Graph] = {}
+    for code in failing_classes(k, pair) if k else (0,):
+        for col in range(1 << k):
+            e = code.bit_count() + col.bit_count()
+            if e_lo <= e <= e_hi and e not in least:
+                child = Graph(n, rows_of(code << k | col, n))
+                if not arrows(child, pair):
+                    least[e] = child
+    return dict(sorted(least.items()))
+
+
 def class_counts(n: int) -> dict[int, int]:
     """Isomorphism-class counts on n vertices keyed by edge count, from the
     full level on n vertices."""

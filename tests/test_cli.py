@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 import avoidpairs
-from avoidpairs import cli
+from avoidpairs import cli, graphs, witness
 from avoidpairs.cli import (
     BLOCK_LINES,
     EXIT_ASSERTION,
@@ -434,6 +434,26 @@ def test_witness_graph6_round_trip_above_62_vertices(capsys, tmp_path):
         "--pair", "40,390", "--clique-vertices", clique, "--p", "41",
     )
     assert code == EXIT_OK and json_lines(out)[0]["passed"] is True
+
+
+def test_witness_build_computes_the_part_girth_once(capsys, monkeypatch):
+    # with --pair the record takes the girth from the verdict, which has it
+    calls = []
+    girth = graphs.girth
+
+    def counted(*args):
+        calls.append(args)
+        return girth(*args)
+
+    monkeypatch.setattr(graphs, "girth", counted)
+    monkeypatch.setattr(witness, "girth", counted)
+    for e in ("12", "178"):  # direct, then complemented
+        for pair in ([], ["--pair", "5,5"]):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "witness", "build", "--n", "20", "--e", e,
+                                   "--p", "6", *pair)
+            assert code == EXIT_OK and json_lines(out)[0]["girth_part_girth"] is None
+            assert len(calls) == 1, (e, pair)
 
 
 # each malformed --pair of the fuzz pool -> its error message; a witness

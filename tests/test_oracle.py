@@ -2,6 +2,8 @@
 oracle against the criterion module."""
 
 import hashlib
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -25,6 +27,7 @@ from helpers import (
     failing_classes,
     induced_size_set,
     labeled_class_counts,
+    least_extension_reference,
     least_failures_reference,
     sorted_classes,
 )
@@ -130,8 +133,9 @@ def test_pruned_level_7_labellings_are_pinned(monkeypatch):
 
 
 def test_pruned_stream_matches_unpruned_reference():
-    # the pruned stream is exactly the classes that fail the pair, and the
-    # S_n report built from it matches the unpruned stream decided by arrows
+    # the pruned stream is exactly the classes that fail the pair; the S_n
+    # report built from it has the S of the unpruned stream decided by
+    # arrows, and the counterexamples of the column-by-column reference
     cases = [(n, PairMF(m, f)) for n in range(1, 7) for m in range(1, n + 1)
              for f in range(binom2(m) + 1)]
     cases += [(7, PairMF(m, f)) for m in range(1, 5) for f in range(binom2(m) + 1)]
@@ -143,7 +147,8 @@ def test_pruned_stream_matches_unpruned_reference():
         least = least_failures_reference(n, pair)
         report = compute_S_n(n, pair)
         assert report.S == tuple(e for e in range(total + 1) if e not in least), (n, pair)
-        assert report.counterexamples == {e: to_graph6(g) for e, g in least.items()}, (n, pair)
+        extension = least_extension_reference(n, pair)
+        assert report.counterexamples == {e: to_graph6(g) for e, g in extension.items()}, (n, pair)
 
 
 def test_one_vertex_root_is_pruned():
@@ -186,21 +191,58 @@ def test_arrows_pair_examples():
         compute_S_n(5, PairMF(6, 0))
 
 
-def test_counterexample_is_least_canonical_form():
-    # the class stream has no order: both callers keep the least failure
-    # per e, which must be the first failure of the sorted window; at n = 6
-    # the stream meets another failure first for (3, 0) at e = 8..12 and for
-    # (4, 1) at e = 7 and 10
+def test_counterexample_is_least_extension_of_a_canonical_form():
+    # the parent stream has no order: both callers keep the least failure
+    # per e, which must be the reference's.  It is not the least failing
+    # canonical form in general: at n = 6 they differ for (4, 3) at e = 5
+    # and for (3, 0) at e = 6..9, and at (3, 0), e = 6 it is the larger
     pairs = [PairMF(3, 3), PairMF(4, 3), PairMF(3, 0), PairMF(4, 1)]
     for n, pair in [(5, PairMF(3, 3))] + [(6, pair) for pair in pairs]:
         report = compute_S_n(n, pair)
+        least = least_extension_reference(n, pair)
         for e in range(binom2(n) + 1):
             failing = [g for g in enumerate_graphs(n, e) if not arrows(g, pair)]
-            least = failing[0] if failing else None
             verdict = arrows_pair(n, e, pair)
-            assert (verdict.arrows, verdict.counterexample) == (not failing, least), (n, e)
-            assert report.counterexamples.get(e) == (least and to_graph6(least)), (n, e)
+            assert verdict.arrows == (not failing) == (e not in least), (n, e)
+            assert verdict.counterexample == least.get(e), (n, e)
+            want = to_graph6(least[e]) if e in least else None
+            assert report.counterexamples.get(e) == want, (n, e)
     assert not arrows_pair(5, 4, PairMF(3, 3)).arrows  # triangle-free graphs with 4 edges
+
+
+def test_windowed_counterexamples_match_the_extension_reference():
+    # 40 seeded (e, e) windows, 20 at n = 8 and 20 at n = 9, with 3 <= m <= 5
+    rng = random.Random(20140708)
+    for n in (8, 9):
+        for _ in range(20):
+            m = rng.randint(3, 5)
+            pair = PairMF(m, rng.randint(0, binom2(m)))
+            e = rng.randint(0, binom2(n))
+            verdict = arrows_pair(n, e, pair)
+            want = least_extension_reference(n, pair, e, e).get(e)
+            assert (verdict.arrows, verdict.counterexample) == (want is None, want), (n, e, pair)
+
+
+def test_sweep_labels_only_the_levels_below_the_last(monkeypatch):
+    # the last level is decided from forbidden columns: a sweep labels what
+    # the stream on n - 1 vertices labels, and nothing more
+    pair = PairMF(4, 3)
+    _, calls = _labelled_build(monkeypatch, 6, 0, binom2(6), pair)
+    below = len(calls)
+    compute_S_n(7, pair)
+    assert len(calls) - below == below > 0
+
+
+def test_S_n_closed_forms_for_m_equal_to_n():
+    # with m = n the one m-subset is the whole graph, so S_n(n, f) = {f};
+    # every class on 8 vertices is a parent of (9, 0), whose sweep took
+    # 15.6 s while its last level was labelled
+    for n in range(1, 10):
+        t0 = time.perf_counter()
+        assert compute_S_n(n, PairMF(n, 0)).S == (0,), n
+    assert time.perf_counter() - t0 < 5.0
+    for n in range(1, 9):
+        assert compute_S_n(n, PairMF(n, binom2(n))).S == (binom2(n),), n
 
 
 def test_S_n_sweep_holds_no_level():
