@@ -53,7 +53,8 @@ def bipartite_realize(pair: BipartitePair) -> BicliqueForestDecomp:
 
     With x = floor(m/2) and y the largest integer with x*y <= f, the three
     cases are: y < m (biclique K_{x,y} plus a forest holding the remainder,
-    which is below x); y = m (even m forces f = m^2/2 and K_{m/2,m}; odd
+    which is below x; at y = 0, x is set to 0 and the forest is a star of f
+    edges); y = m (even m forces f = m^2/2 and K_{m/2,m}; odd
     m = 2k+1 uses K_{k+1,2k-1} plus a small forest); y = m + 1 (odd m only,
     f = floor(m^2/2) exactly, realized by K_{2k,k+1} and isolated vertices).
     """
@@ -64,14 +65,10 @@ def bipartite_realize(pair: BipartitePair) -> BicliqueForestDecomp:
             f"realize the complement (m, m^2 - f) instead"
         )
     x = m // 2
-    if x == 0:  # m == 1, so f == 0
-        return BicliqueForestDecomp(m, f, 0, 0, (), 1)
-    y = f // x
+    y = f // x if x else 0  # x == 0 only at m == 1, where f == 0
+    if y == 0:  # f < x: no biclique, the forest is a bare star from left vertex 0
+        x = 0
     if y < m:
-        if y == 0:
-            # f < floor(m/2): a bare star from the first left vertex
-            edges = tuple((0, j) for j in range(f))
-            return BicliqueForestDecomp(m, f, 0, 0, edges, 1)
         extra = f - x * y
         return BicliqueForestDecomp(
             m, f, x, y, _caterpillar(x, y, m - x, m - y, extra), 1

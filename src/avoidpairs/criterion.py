@@ -101,11 +101,6 @@ def _in_envelope(m: int, q: int) -> bool:
     return m >= 5 and (m - 5) ** 2 >= 4 * abs(q)
 
 
-def radicand_dy(m: int, q: int) -> int:
-    """Dy = 2m^2 - 10m - 8q + 9, unchecked: callers apply their own domain."""
-    return 2 * m * m - 10 * m - 8 * q + 9
-
-
 def _refuse_outside_envelope(m: int, q: int) -> None:
     if not _in_envelope(m, q):
         if m < 5:
@@ -120,7 +115,7 @@ def radicands(m: int, q: int) -> tuple[int, int]:
     """(Dy, Dz) = (2m^2-10m-8q+9, 2m^2-2m-8q+1) for the (m, q)
     parametrization, f = m(m-1)/4 - q, unchecked: callers apply their own
     domain (lr_values and eval_criterion refuse outside the envelope)."""
-    dy = radicand_dy(m, q)
+    dy = 2 * m * m - 10 * m - 8 * q + 9
     return dy, dy + 8 * (m - 1)
 
 

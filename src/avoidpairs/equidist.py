@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterable
 from itertools import accumulate, islice
 
-from .criterion import radicand_dy
+from .criterion import radicands
 from .errors import DomainError, GuardError
 from .exactarith import DEFAULT_FRACBITS, FixedPointFrac, frac_sqrt_half
 from .pell import m_states
@@ -38,7 +38,7 @@ class EquidistReport(Record):
 
 def frac_y(m: int, q: int, fracbits: int = DEFAULT_FRACBITS) -> FixedPointFrac:
     """Fractional part of sqrt(2m^2 - 10m - 8q + 9)/2 at fracbits precision."""
-    dy = radicand_dy(m, q)
+    dy = radicands(m, q)[0]
     if dy < 0:
         raise DomainError(f"negative radicand at m={m}, q={q}; m below the envelope")
     return frac_sqrt_half(dy, fracbits)

@@ -36,6 +36,43 @@ def _completions(rows: tuple[int, ...], m: int, f: int, cap: int) -> list[tuple[
     return [(t, f - e) for t, e, _ in level if f - e <= cap]
 
 
+def _meet_counts(sets: list[int], full: int, top: int) -> list[int]:
+    """Entry j, for j <= top: the columns (bit c of ``full`` for column c)
+    that lie in exactly j of the column sets ``sets``, by one pass per set
+    that moves each of its columns up one count."""
+    counts = [full] + [0] * top
+    for cols in sets:
+        for j in range(top, 0, -1):
+            counts[j] = counts[j] & ~cols | counts[j - 1] & cols
+        counts[0] &= ~cols
+    return counts
+
+
+def _column_sets(k: int) -> tuple[int, list[int]]:
+    """(full, has) over the 2^k columns of a new vertex on k vertices, as
+    bitsets with bit c for column c.  Column c is the new vertex's mask, with
+    bit v for vertex v; has[v] holds the columns that contain v, which come
+    in runs of r = 2^v at period 2r: one run's mask times a 1 at every period."""
+    full = (1 << (1 << k)) - 1
+    runs = [1 << v for v in range(k)]
+    return full, [full // ((1 << 2 * r) - 1) * ((1 << r) - 1 << r) for r in runs]
+
+
+def _forbidden(rows: tuple[int, ...], m: int, f: int, cap: int, full: int,
+               has: list[int], memo: dict[tuple[int, int], int]) -> int:
+    """The columns through which a new vertex completes an m-subset with f
+    edges: the OR, over the parent's _completions (T, need), of the columns
+    that lie in exactly need of the sets has[v], v in T.  memo keeps each
+    (T, need)'s columns for this ``has``."""
+    forbidden = 0
+    for t, need in _completions(rows, m, f, cap):
+        if (t, need) not in memo:
+            sets = [has[v] for v in range(len(rows)) if t >> v & 1]
+            memo[t, need] = _meet_counts(sets, full, need)[need]
+        forbidden |= memo[t, need]
+    return forbidden
+
+
 def _classes(
     n: int, e_lo: int, e_hi: int, pair: PairMF | None = None
 ) -> Iterator[int]:
@@ -81,8 +118,10 @@ def _classes(
 
     With a pair (m, f), a child on at least m vertices is also dropped, before
     its root partition and its labelling, when some m-subset containing the
-    new vertex induces f edges, which _completions decides from the parent's
-    (m-1)-subsets.  Not arrowing is hereditary for induced subgraphs, so the
+    new vertex induces f edges, that is when its mask is one of the parent's
+    forbidden columns: one bit of the bitset that _forbidden builds from the
+    parent's (m-1)-subsets, the test _least_failures decides its last level
+    with.  Not arrowing is hereditary for induced subgraphs, so the
     canonical deletion chain of a class that does not arrow passes these
     tests too, and the pruning loses no such class.  The test runs before
     the mask's orbit is walked: an automorphism of the parent maps
@@ -97,6 +136,8 @@ def _classes(
     total = binom2(n)
     # without a pair no graph reaches m = n + 1 vertices: nothing is dropped
     m, f = (pair.m, pair.f) if pair is not None else (n + 1, 0)
+    # one column table and (T, need) memo per parent order k that can complete
+    columns = {k: (*_column_sets(k), {}) for k in range(m - 1, n)}
 
     def grow(rows: tuple[int, ...], code: int, generators: list[list[int]]):
         k = len(rows)
@@ -115,16 +156,13 @@ def _classes(
         # the new vertex meets an (m-1)-subset T in at most min(m-1, d_hi)
         # vertices, and T spans at most min(e_parent, binom2(m-1)) edges
         cap = min(m - 1, d_hi)
-        if k + 1 >= m and f - min(e_parent, binom2(m - 1)) <= cap:
-            completions = _completions(rows, m, f, cap)
-        else:
-            completions = ()
+        forbidden = (_forbidden(rows, m, f, cap, *columns[k])
+                     if k + 1 >= m and f - min(e_parent, binom2(m - 1)) <= cap else 0)
         seen: set[int] = set()
         for mask in range(1 << k):
             d = mask.bit_count()
-            if not d_lo <= d <= d_hi or d == top and mask & tops or mask in seen:
-                continue
-            if any((mask & t).bit_count() == need for t, need in completions):
+            if (not d_lo <= d <= d_hi or d == top and mask & tops or mask in seen
+                    or forbidden >> mask & 1):
                 continue
             seen |= orbit(mask, generators)
             child = tuple(r | (mask >> i & 1) << k for i, r in enumerate(rows)) + (mask,)
@@ -217,18 +255,6 @@ class ArrowVerdict(Record):
     counterexample: Graph | None
 
 
-def _meet_counts(sets: list[int], full: int, top: int) -> list[int]:
-    """Entry j, for j <= top: the columns (bit c of ``full`` for column c)
-    that lie in exactly j of the column sets ``sets``, by one pass per set
-    that moves each of its columns up one count."""
-    counts = [full] + [0] * top
-    for cols in sets:
-        for j in range(top, 0, -1):
-            counts[j] = counts[j] & ~cols | counts[j - 1] & cols
-        counts[0] &= ~cols
-    return counts
-
-
 def _least_failures(n: int, e_lo: int, e_hi: int, pair: PairMF) -> dict[int, Graph]:
     """By e in increasing order, the graph6-least graph on n vertices with e
     edges that fails to arrow the pair and whose first n - 1 vertices induce
@@ -241,32 +267,25 @@ def _least_failures(n: int, e_lo: int, e_hi: int, pair: PairMF) -> dict[int, Gra
     with max(e_lo - (n - 1), 0) to min(e_hi, binom2(n - 1)) edges are
     streamed as parents.  A child, a parent plus a new vertex with column
     col (code_of's last column, top bit the edge to vertex 0), has code
-    c << (n - 1) | col and e(c) + |col| edges.  It fails iff no m-subset
-    through the new vertex induces f edges, so the parent's _completions
-    (T, need) forbid exactly the columns that meet T in need vertices.
-    Those column sets, and the columns of each weight, are bitsets over
-    the 2^(n-1) columns (_meet_counts); the lowest allowed column of
-    weight e - e(c) is the parent's candidate for e, and the least
-    candidate wins.  At n = 1 the one parent is the graph on no vertices,
-    which fails every pair."""
+    c << (n - 1) | col and e(c) + |col| edges.  It fails iff col is not
+    among the parent's forbidden columns, the one test _classes prunes
+    every level below with (_forbidden), here with the column sets in
+    code_of's bit order.  The forbidden columns and the columns of each
+    weight (_meet_counts) are bitsets over the 2^(n-1) columns; the lowest
+    allowed column of weight e - e(c) is the parent's candidate for e, and
+    the least candidate wins.  At n = 1 the one parent is the graph on no
+    vertices, which fails every pair."""
     k, m, f = n - 1, pair.m, pair.f
     parents = _classes(k, max(e_lo - k, 0), min(e_hi, binom2(k)), pair) if k else (0,)
-    full = (1 << (1 << k)) - 1
-    # the columns that hold vertex v (bit k - 1 - v) come in runs of
-    # r = 2^(k-1-v) at period 2r: one run's mask times a 1 at every period
-    runs = [1 << k - 1 - v for v in range(k)]
-    has = [full // ((1 << 2 * r) - 1) * ((1 << r) - 1 << r) for r in runs]
+    full, has = _column_sets(k)
+    has.reverse()  # code_of's last column holds vertex v at bit k - 1 - v
     weights = _meet_counts(has, full, k)
-    meeting: dict[tuple[int, int], int] = {}  # (T, need) -> its columns, for every parent
+    memo: dict[tuple[int, int], int] = {}
     least: dict[int, int] = {}
     for code in parents:
         e_parent = code.bit_count()
-        allowed = full
-        for t, need in _completions(rows_of(code, k), m, f, min(m - 1, e_hi - e_parent)):
-            if (t, need) not in meeting:
-                sets = [has[v] for v in range(k) if t >> v & 1]
-                meeting[t, need] = _meet_counts(sets, full, need)[need]
-            allowed &= ~meeting[t, need]
+        cap = min(m - 1, e_hi - e_parent)
+        allowed = full & ~_forbidden(rows_of(code, k), m, f, cap, full, has, memo)
         for e in range(max(e_lo, e_parent), min(e_hi, e_parent + k) + 1):
             fits = allowed & weights[e - e_parent]
             if fits:

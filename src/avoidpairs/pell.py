@@ -51,10 +51,8 @@ def pell_states() -> Iterator[PellState]:
 
 
 def m_states() -> Iterator[PellState]:
-    """Filtered stream with s >= 2, whose m values form the set M."""
-    for state in pell_states():
-        if state.s >= 2:
-            yield state
+    """The stream from s = 2 on, whose m values form the set M."""
+    return islice(pell_states(), 2, None)
 
 
 def first_states(count: int, raw: bool = False) -> Iterator[PellState]:
@@ -69,27 +67,17 @@ def generate_M(count: int) -> list[int]:
     """First `count` members of M in increasing order: [40, 221, 1276, ...]."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    out: list[int] = []
-    for state in m_states():
-        out.append(state.m)
-        if len(out) == count:
-            return out
-    raise AssertionError("unreachable")
+    return [state.m for state in islice(m_states(), count)]
 
 
 def is_in_M(m: int) -> bool:
-    """Membership test by generating until the stream passes m.
+    """Membership test: the first member of M that is >= m equals m.
 
     The stream grows by a factor of about 5.83 per step, so this is cheap.
     Only membership in this recursion's family is decided; no claim is made
     that every m with the same arithmetic properties belongs to it.
     """
-    for state in m_states():
-        if state.m == m:
-            return True
-        if state.m > m:
-            return False
-    raise AssertionError("unreachable")
+    return next(state.m for state in m_states() if state.m >= m) == m
 
 
 def verify_pell_state(state: PellState) -> dict[str, bool]:

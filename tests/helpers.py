@@ -17,7 +17,6 @@ from avoidpairs.criterion import (
     _in_envelope,
     avoidability_certificate,
     lr_floors,
-    radicand_dy,
     radicands,
 )
 from avoidpairs.errors import DomainError, GuardError
@@ -191,7 +190,7 @@ def first_valid_m_walk(q: int) -> int:
     by stepping m up by one: the radicand is increasing in 4m, so one check
     suffices."""
     m = 1
-    while radicand_dy(4 * m, q) < 0:
+    while radicands(4 * m, q)[0] < 0:
         m += 1
     return m
 

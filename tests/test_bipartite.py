@@ -90,3 +90,13 @@ def test_verifier_catches_tampering():
     )
     verdict = verify_bipartite_decomp(overlap, BipartitePair(5, 5))
     assert not verdict.passed and "disjointness" in verdict.failures
+
+
+def test_verifier_reports_capacity_and_duplicate_edges():
+    pair = BipartitePair(3, 4)
+    # a biclique wider than a side, with the right edge count
+    wide = BicliqueForestDecomp(m=3, f=4, x=4, y=1, forest_edges=(), case=1)
+    assert verify_bipartite_decomp(wide, pair).failures == ("capacity",)
+    # one forest edge twice, which also closes a cycle of length two
+    twice = BicliqueForestDecomp(m=3, f=4, x=1, y=2, forest_edges=((1, 2), (1, 2)), case=1)
+    assert verify_bipartite_decomp(twice, pair).failures == ("duplicate-edges", "acyclic")

@@ -540,6 +540,19 @@ def test_xcheck_cf_refuses_above_the_oracle_bound_before_any_pair(capsys, monkey
         f"explicit oracle is exponential-free but still guarded to m <= {ORACLE_MAX_M}; ")
 
 
+def test_xcheck_cf_mismatch_exits_4_after_its_records(capsys, monkeypatch):
+    # the explicit oracle is made to deny (3, 1), a clique K_2 plus a vertex
+    real = cli.oracle.clique_forest_oracle
+    monkeypatch.setattr(cli.oracle, "clique_forest_oracle",
+                        lambda pair: real(pair) and (pair.m, pair.f) != (3, 1))
+    code, out, err = run_cli(capsys, "oracle", "xcheck-cf", "--max-m", "3")
+    mismatch = {"m": 3, "f": 1, "search": True, "oracle": False}
+    assert code == EXIT_ASSERTION == 4
+    assert json_lines(out) == [{"max_m": 3, "pairs_checked": 7, "mismatches": [mismatch]}]
+    assert json_lines(err) == [mismatch, {"error": "1 clique+forest mismatches",
+                                          "kind": "assertion"}]
+
+
 def test_query_above_the_labelling_limit_is_a_guard_refusal(capsys):
     # no option raises the query guard: n = 17, above the 16 vertices of
     # canonical labelling, is the guard's refusal, not a domain error of canon

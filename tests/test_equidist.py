@@ -15,6 +15,7 @@ from avoidpairs.equidist import (
     histogram_discrepancy,
 )
 from avoidpairs.errors import DomainError, GuardError
+from avoidpairs.exactarith import FixedPointFrac
 from helpers import first_valid_m_walk
 
 
@@ -93,6 +94,22 @@ def test_sample_over_M_is_guarded_before_any_work():
     # domain refusals come first
     with pytest.raises(DomainError):
         diag_equidist(0, M_SAMPLE_GUARD + 1, 1, restrict_to_M=True)
+
+
+def test_sample_over_M_admits_the_bound(monkeypatch):
+    # the fractional parts of 10,000 members of M take 6-7 s; a constant one
+    # leaves the walk along M, whose m mod 4 alternates 0, 1 from m = 40
+    residues = []
+
+    def half(m, q, fracbits):
+        residues.append(m % 4)
+        return FixedPointFrac(1 << fracbits - 1, fracbits)
+
+    monkeypatch.setattr(equidist, "frac_y", half)
+    report = diag_equidist(0, M_SAMPLE_GUARD, 10, restrict_to_M=True)
+    assert (report.count, report.m_start) == (M_SAMPLE_GUARD, 40)
+    assert report.histogram[10 // 2] == M_SAMPLE_GUARD
+    assert residues == [0, 1] * (M_SAMPLE_GUARD // 2)
 
 
 def test_stride_sample_is_guarded_before_any_work(monkeypatch):

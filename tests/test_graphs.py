@@ -65,6 +65,13 @@ def test_graph_basics():
         g.add_edge(0, 4)
 
 
+def test_graph_refuses_a_negative_order_and_a_wrong_row_count():
+    with pytest.raises(DomainError, match="vertex count must be >= 0, got -1"):
+        Graph(-1)
+    with pytest.raises(DomainError, match="expected 3 adjacency rows, got 2"):
+        Graph(3, [0, 0])
+
+
 def test_complement_involution():
     rng = random.Random(3)
     for _ in range(50):

@@ -2,6 +2,7 @@
 oracle against the criterion module."""
 
 import hashlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -157,6 +158,28 @@ def test_one_vertex_root_is_pruned():
     report = compute_S_n(1, PairMF(1, 0))
     assert (report.S, report.counterexamples) == ((0,), {})
     assert compute_S_n(4, PairMF(1, 0)).S == tuple(range(binom2(4) + 1))
+
+
+def test_forbidden_columns_are_the_masks_that_complete_the_pair():
+    # bit `mask` of _forbidden is set iff the new vertex joined to `mask`
+    # lies in an m-subset with f edges, by counting the edges of each subset;
+    # one memo per k serves every graph and pair, as in a stream
+    rng = random.Random(31)
+    for k in range(1, 6):
+        full, has = oracle._column_sets(k)
+        memo = {}
+        for _ in range(8):
+            edges = [(u, v) for u, v in itertools.combinations(range(k), 2) if rng.random() < 0.5]
+            rows = tuple(Graph.from_edges(k, edges).rows)
+            for m in range(2, k + 2):
+                for f in range(binom2(m) + 1):
+                    forbidden = oracle._forbidden(rows, m, f, m - 1, full, has, memo)
+                    for mask in range(1 << k):
+                        child = [r | (mask >> u & 1) << k for u, r in enumerate(rows)] + [mask]
+                        want = any(
+                            sum(child[u] >> v & 1 for u, v in itertools.combinations(t + (k,), 2)) == f
+                            for t in itertools.combinations(range(k), m - 1))
+                        assert forbidden >> mask & 1 == want, (rows, m, f, mask)
 
 
 def test_labeled_recount_matches_augmentation():
